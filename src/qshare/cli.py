@@ -68,7 +68,6 @@ def _complex_pairs(values):
 def run_table(args) -> dict:
     """Pairwise sharing bounds for three particles at d = 2, 3, 7."""
     config = _config_from_args(args)
-    parallel = args.parallel == "on"
     warnings = []
 
     pair = reduced_density_matrix(w_state(3), (2, 2, 2), (0, 1))
@@ -80,7 +79,7 @@ def run_table(args) -> dict:
         raise SystemExit("internal error: the d=3 closed-form marginal failed its Werner fit")
     e3 = werner_eof(rho3, 3, args.tol)
 
-    scan = maximize_pair_eof(config, grid_step=args.grid_step, parallel=parallel)
+    scan = maximize_pair_eof(config, grid_step=args.grid_step)
     if not scan.unimodal:
         warnings.append("scan trace over the aligned weight is not unimodal")
 
@@ -96,7 +95,6 @@ def run_table(args) -> dict:
             "seed": config.seed,
             "restarts": config.restarts,
             "grid_step": args.grid_step,
-            "parallel": parallel,
             "tol": args.tol,
         },
         "results": {"rows": rows, "a_star": scan.a_star},
@@ -141,9 +139,8 @@ def run_singlet(args) -> dict:
 def run_family(args) -> dict:
     """Span minimum and decomposition diagnostics at one aligned weight."""
     config = _config_from_args(args)
-    parallel = args.parallel == "on"
     family = ResidueFamily.from_a(args.a)
-    result = min_span_entanglement(args.a, config, parallel=parallel)
+    result = min_span_entanglement(args.a, config)
     warnings = []
     if result.failed_restarts:
         warnings.append(f"{len(result.failed_restarts)} of {config.restarts} restarts did not converge")
@@ -159,7 +156,6 @@ def run_family(args) -> dict:
             "a": family.a,
             "seed": config.seed,
             "restarts": config.restarts,
-            "parallel": parallel,
         },
         "results": {
             "b": family.b,
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
     common.add_argument("--tol", type=float, default=1e-10, help="Werner detection tolerance")
     common.add_argument("--strict", action="store_true", help="escalate warnings to a nonzero exit")
-    common.add_argument("--parallel", choices=["on", "off"], default="on", help="run restarts in a thread pool")
 
     sub = parser.add_subparsers(dest="command", required=True)
     table = sub.add_parser("table", parents=[common], help="sharing bounds for three particles at d = 2, 3, 7")

@@ -41,24 +41,27 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def shannon_entropy(p) -> float:
+def shannon_entropy(p):
     """Entropy of a probability vector in bits, with 0 log 0 := 0.
 
     Entries below the spectrum clip count as exact zeros.  The sum is not
     required to be exactly 1, so rounded spectra can be evaluated directly.
+    A stack of vectors (outcomes along the last axis) gives an array with
+    one entropy per vector.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
+    if p.ndim == 0 or p.shape[-1] == 0:
         raise ValueError("expected a non-empty probability vector")
     if not np.all(np.isfinite(p)):
         raise ValueError("probability vector contains non-finite entries")
     if np.any(p < -1e-10):
         raise ValueError("probability vector has negative entries")
-    p = p[p > SPECTRUM_CLIP]
-    if p.size == 0:
-        return 0.0
+    kept = p > SPECTRUM_CLIP
+    terms = np.zeros_like(p)
+    terms[kept] = p[kept] * np.log2(p[kept])
     # + 0.0 turns a negative zero from -sum into plain 0.0
-    return float(-np.sum(p * np.log2(p))) + 0.0
+    h = -np.sum(terms, axis=-1) + 0.0
+    return float(h) if p.ndim == 1 else h
 
 
 def binary_entropy(x) -> float:

@@ -10,14 +10,12 @@ minimizer realizes a decomposition that attains it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import SPECTRUM_CLIP
-from .measures import Decomposition, pure_entanglement
+from .measures import Decomposition, pure_entanglement, shannon_entropy
 from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 __all__ = [
@@ -45,10 +43,25 @@ _VERTEX_WEIGHT = 0.99
 # non-basis minimizer was found.
 _NEAR_BEST = 1e-6
 
+# L-BFGS: curvature pairs kept per restart, and the sufficient-decrease
+# constant of the backtracking line search.
+_MEMORY = 10
+_ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Multistart settings; restart i draws its starting point from seed + i."""
+    """Multistart settings.
+
+    Restart i starts from a random unit vector drawn from its own stream,
+    ``np.random.default_rng([seed, i])``: a start depends on neither
+    ``restarts`` nor the other restarts, and different seeds share no start.
+    A restart converges when an accepted step lowers the value by at most
+    ``value_tolerance`` (relative to max(|f|, 1)), when its step is at most
+    ``step_tolerance`` times the length of its point, or when no step longer
+    than that lowers the value even along the steepest descent.  It fails
+    when it reaches ``max_iterations`` accepted steps first.
+    """
 
     restarts: int = 200
     max_iterations: int = 5000
@@ -108,84 +121,183 @@ class _SpanObjective:
     """
 
     def __init__(self, family: ResidueFamily):
-        self.family = family
         # Pair state j reshaped to the 7x7 amplitude matrix across the cut.
         self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
 
-    def entanglement(self, coeffs) -> float:
-        """Entanglement at exactly the given unit-norm complex coefficients."""
-        m = np.tensordot(coeffs, self.basis_mats, axes=(0, 0))
-        w = np.linalg.eigvalsh(m @ m.conj().T)
-        w = w[w > SPECTRUM_CLIP]
-        if w.size == 0:
-            return 0.0
-        return float(-np.sum(w * np.log2(w))) + 0.0
+    def entanglement(self, coeffs):
+        """Entanglement (R,) at each row of unit-norm complex coefficients (R, 7)."""
+        m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
+        return shannon_entropy(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)))
 
     def value_and_grad(self, x):
-        v = x[:MODULUS] + 1j * x[MODULUS:]
-        n2 = float(x @ x)
-        if n2 < 1e-18:
-            # Scale-free objective; unreachable in practice from unit starts.
-            return 3.0, np.zeros(2 * MODULUS)
-        m = np.tensordot(v, self.basis_mats, axes=(0, 0))
-        rho = (m @ m.conj().T) / n2
-        w, p = np.linalg.eigh(rho)
+        """Values (R,) and gradients (R, 14) at the rows of ``x`` (R, 14).
+
+        Every row is computed by the same operations whatever the other rows
+        are, so a row's result does not depend on the batch it is in.
+        """
+        n2 = np.einsum("ri,ri->r", x, x)
+        # Scale-free objective; a zero row (unreachable in practice from unit
+        # starts) gets a value above every feasible one, a non-finite row NaN.
+        zero = n2 < 1e-18
+        finite = np.isfinite(n2)
+        usable = finite & ~zero
+        x = np.where(usable[:, None], x, 0.0)
+        n2 = np.where(usable, n2, 1.0)
+        v = x[:, :MODULUS] + 1j * x[:, MODULUS:]
+        m = np.einsum("rj,jab->rab", v, self.basis_mats)
+        m_h = m.conj().transpose(0, 2, 1)
+        w, p = np.linalg.eigh((m @ m_h) / n2[:, None, None])
         w = np.clip(w, 0.0, None)
-        mask = w > SPECTRUM_CLIP
-        log_w = np.zeros(MODULUS)
-        log_w[mask] = np.log2(w[mask])
-        f = float(-np.sum(w[mask] * log_w[mask]))
+        f = shannon_entropy(w)
         # dE = -Tr(log2(rho) drho); the spectral log uses the clipped spectrum.
-        lmat = (p * log_w) @ p.conj().T
-        g = np.einsum("jab,ba->j", self.basis_mats, m.conj().T @ lmat)
-        gx = -(2.0 / n2) * g.real - (2.0 * f / n2) * x[:MODULUS]
-        gy = (2.0 / n2) * g.imag - (2.0 * f / n2) * x[MODULUS:]
-        return f, np.concatenate([gx, gy])
+        log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
+        lmat = (p * log_w[:, None, :]) @ p.conj().transpose(0, 2, 1)
+        g = np.einsum("jab,rba->rj", self.basis_mats, m_h @ lmat)
+        scale = 2.0 / n2[:, None]
+        grad = np.concatenate([-scale * g.real, scale * g.imag], axis=1) - (scale * f[:, None]) * x
+        f[zero] = 3.0
+        f[~finite] = np.nan
+        grad[~usable] = 0.0
+        return f, grad
 
 
-@dataclass(frozen=True, eq=False)
-class _Restart:
-    value: float
-    coeffs: np.ndarray
-    iterations: int
-    converged: bool
+def _direction(g, s_hist, y_hist, rho_hist):
+    """L-BFGS search direction -H g per row, newest curvature pair last.
+
+    Slots without a pair hold zeros and drop out of the recursion.  A row
+    with no pair gets the steepest descent scaled to unit length (zero where
+    the gradient vanishes).
+    """
+    # Only the newest slots hold a pair in any row; older ones add exact zeros.
+    oldest = _MEMORY - int(np.count_nonzero(rho_hist.any(axis=0)))
+    q = g.copy()
+    alpha = np.zeros(rho_hist.shape)
+    for j in range(_MEMORY - 1, oldest - 1, -1):
+        alpha[:, j] = rho_hist[:, j] * np.einsum("ri,ri->r", s_hist[:, j], q)
+        q -= alpha[:, j, None] * y_hist[:, j]
+    newest_yy = np.einsum("ri,ri->r", y_hist[:, -1], y_hist[:, -1]) * rho_hist[:, -1]
+    g_norm = np.sqrt(np.einsum("ri,ri->r", g, g))
+    gamma = np.zeros(len(g))
+    np.divide(1.0, newest_yy, out=gamma, where=newest_yy > 0.0)
+    np.divide(1.0, g_norm, out=gamma, where=(newest_yy == 0.0) & (g_norm > 0.0))
+    r = gamma[:, None] * q
+    for j in range(oldest, _MEMORY):
+        beta = rho_hist[:, j] * np.einsum("ri,ri->r", y_hist[:, j], r)
+        r += s_hist[:, j] * (alpha[:, j] - beta)[:, None]
+    return -r
 
 
-def _basis_like(coeffs) -> bool:
-    return float(np.max(np.abs(coeffs)) ** 2) > _VERTEX_WEIGHT
+def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
+    """Minimize from every row of ``x0`` in lockstep.
+
+    Each row runs its own L-BFGS with its own curvature pairs, backtracking
+    step and stopping decision; one batched evaluation per round serves every
+    row still running.  Returns the final points, the accepted steps per row
+    and which rows converged (see :class:`OptimizationConfig`).
+    """
+    x = np.array(x0, dtype=float)
+    count, dim = x.shape
+    f, g = objective.value_and_grad(x)
+    s_hist = np.zeros((count, _MEMORY, dim))
+    y_hist = np.zeros((count, _MEMORY, dim))
+    rho_hist = np.zeros((count, _MEMORY))
+    d = np.zeros_like(x)
+    step = np.ones(count)
+    slope = np.zeros(count)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    running = np.isfinite(f)
+
+    def search(rows):
+        # A new line search from the current point along the L-BFGS direction.
+        d[rows] = _direction(g[rows], s_hist[rows], y_hist[rows], rho_hist[rows])
+        slope[rows] = np.einsum("ri,ri->r", g[rows], d[rows])
+        step[rows] = 1.0
+        stall(rows[~(slope[rows] < 0.0)])
+
+    def stall(rows):
+        # No descent along the current direction: retry along the steepest
+        # descent, and a row that already did is stationary, i.e. converged.
+        remembered = rho_hist[rows, -1] > 0.0
+        stopped = rows[~remembered]
+        converged[stopped] = True
+        running[stopped] = False
+        retry = rows[remembered]
+        if retry.size:
+            s_hist[retry] = 0.0
+            y_hist[retry] = 0.0
+            rho_hist[retry] = 0.0
+            search(retry)
+
+    search(np.flatnonzero(running))
+    while running.any():
+        rows = np.flatnonzero(running)
+        trial = x[rows] + step[rows, None] * d[rows]
+        f_trial, g_trial = objective.value_and_grad(trial)
+        accept = f_trial <= f[rows] + _ARMIJO * step[rows] * slope[rows]
+
+        moved = rows[accept]
+        s_new = trial[accept] - x[moved]
+        y_new = g_trial[accept] - g[moved]
+        f_old = f[moved]
+        x[moved], f[moved], g[moved] = trial[accept], f_trial[accept], g_trial[accept]
+        iterations[moved] += 1
+        sy = np.einsum("ri,ri->r", s_new, y_new)
+        curved = sy > np.finfo(float).eps * np.einsum("ri,ri->r", y_new, y_new)
+        kept = moved[curved]
+        s_hist[kept] = np.concatenate([s_hist[kept, 1:], s_new[curved, None]], axis=1)
+        y_hist[kept] = np.concatenate([y_hist[kept, 1:], y_new[curved, None]], axis=1)
+        rho_hist[kept] = np.concatenate([rho_hist[kept, 1:], 1.0 / sy[curved, None]], axis=1)
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[moved])), 1.0)
+        flat = f_old - f[moved] <= config.value_tolerance * scale
+        small = np.linalg.norm(s_new, axis=1) <= config.step_tolerance * np.linalg.norm(x[moved], axis=1)
+        converged[moved[flat | small]] = True
+        running[moved[flat | small]] = False
+        running[moved[iterations[moved] >= config.max_iterations]] = False
+        search(moved[running[moved]])
+
+        # Backtrack by safeguarded quadratic interpolation until the step
+        # falls to the step tolerance.
+        held = rows[~accept]
+        t = step[held]
+        rise = f_trial[~accept] - f[held] - slope[held] * t
+        fit = np.isfinite(rise) & (rise > 0.0)
+        step[held] = 0.5 * t
+        step[held[fit]] = np.clip(-slope[held[fit]] * t[fit] ** 2 / (2.0 * rise[fit]), 0.1 * t[fit], 0.5 * t[fit])
+        length = step[held] * np.linalg.norm(d[held], axis=1)
+        stall(held[length <= config.step_tolerance * np.linalg.norm(x[held], axis=1)])
+    return x, iterations, converged
 
 
-def _run_restart(objective: _SpanObjective, index: int, config: OptimizationConfig):
-    rng = np.random.default_rng(config.seed + index)
-    x0 = rng.standard_normal(2 * MODULUS)
-    x0 /= np.linalg.norm(x0)
-    res = minimize(
-        objective.value_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.max_iterations,
-            "ftol": config.value_tolerance,
-            "gtol": config.step_tolerance,
-        },
+def _starts(config: OptimizationConfig):
+    """Unit starting points (restarts, 14); row i comes from stream [seed, i]."""
+    x0 = np.array(
+        [np.random.default_rng([config.seed, i]).standard_normal(2 * MODULUS) for i in range(config.restarts)]
     )
-    v = res.x[:MODULUS] + 1j * res.x[MODULUS:]
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm) or norm < 1e-9:
-        return None
-    coeffs = gauge_fix(v / norm)
-    value = objective.entanglement(coeffs)
-    peak = int(np.argmax(np.abs(coeffs)))
-    if np.abs(coeffs[peak]) ** 2 > _VERTEX_WEIGHT:
-        # The exact vertex is feasible, so snap to it whenever that is better;
-        # this closes the asymptotic tail of descending into a basis state.
-        vertex = np.zeros(MODULUS, dtype=complex)
-        vertex[peak] = 1.0
-        vertex_value = objective.entanglement(vertex)
-        if vertex_value < value:
-            coeffs, value = vertex, vertex_value
-    return _Restart(value=value, coeffs=coeffs, iterations=int(res.nit), converged=bool(res.success))
+    return x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+
+
+def _finish(objective: _SpanObjective, x):
+    """Gauge-fixed coefficients (R, 7) and values (R,) at the restarts' final points.
+
+    A point that cannot be normalized gets NaN coefficients and value +inf.
+    """
+    v = x[:, :MODULUS] + 1j * x[:, MODULUS:]
+    norms = np.linalg.norm(v, axis=1)
+    usable = np.isfinite(norms) & (norms >= 1e-9)
+    coeffs = np.full(v.shape, np.nan, dtype=complex)
+    coeffs[usable] = np.array([gauge_fix(row / n) for row, n in zip(v[usable], norms[usable])]).reshape(-1, MODULUS)
+    values = np.full(len(x), np.inf)
+    values[usable] = objective.entanglement(coeffs[usable])
+    # The exact vertex is feasible, so snap to it whenever that is better;
+    # this closes the asymptotic tail of descending into a basis state.
+    vertices = np.eye(MODULUS, dtype=complex)
+    vertex_values = objective.entanglement(vertices)
+    peaks = np.argmax(np.abs(coeffs), axis=1)
+    snap = (np.abs(coeffs[np.arange(len(x)), peaks]) ** 2 > _VERTEX_WEIGHT) & (vertex_values[peaks] < values)
+    coeffs[snap] = vertices[peaks[snap]]
+    values[snap] = vertex_values[peaks[snap]]
+    return coeffs, values
 
 
 def span_entanglement(coeffs, a) -> float:
@@ -194,43 +306,37 @@ def span_entanglement(coeffs, a) -> float:
     return pure_entanglement(family.span_state(coeffs), PAIR_DIMS, PAIR_CUT)
 
 
-def min_span_entanglement(a, config: OptimizationConfig | None = None, *, parallel=False) -> OptimizationResult:
+def min_span_entanglement(a, config: OptimizationConfig | None = None) -> OptimizationResult:
     """Smallest span-state entanglement at aligned weight ``a``.
 
-    Runs ``config.restarts`` independent local minimizations from seeded
-    random starting points and keeps the best local minimum (ties broken by
-    the lowest restart index, so the merge does not depend on execution
-    order).  Identical (a, seed) inputs reproduce identical restart values.
+    Runs ``config.restarts`` local minimizations from seeded random starting
+    points, all advanced together as one batch, and keeps the best local
+    minimum (ties broken by the lowest restart index).  A restart's outcome
+    depends only on its own start, so identical (a, seed) inputs reproduce
+    identical restart values, and the first k restarts of a larger run
+    equal a run of k restarts.
     """
     config = config or OptimizationConfig()
     family = ResidueFamily.from_a(a)
     objective = _SpanObjective(family)
-    indices = range(config.restarts)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(lambda i: _run_restart(objective, i, config), indices))
-    else:
-        outcomes = [_run_restart(objective, i, config) for i in indices]
+    x, iterations, converged = _lbfgs(objective, _starts(config), config)
+    coeffs, restart_values = _finish(objective, x)
 
-    restart_values = np.array([r.value if r is not None else np.inf for r in outcomes])
-    failed = tuple(i for i, r in enumerate(outcomes) if r is None or not r.converged)
-    usable = [i for i, r in enumerate(outcomes) if r is not None]
-    if not usable:
+    usable = np.isfinite(restart_values)
+    if not usable.any():
         raise RuntimeError(f"all {config.restarts} restarts failed at a={a}")
-    best_index = min(usable, key=lambda i: (restart_values[i], i))
-    best = outcomes[best_index]
-    nontrivial = any(
-        r is not None and r.value <= best.value + _NEAR_BEST and not _basis_like(r.coeffs)
-        for r in outcomes
-    )
+    # argmin takes the first of equal values: ties go to the lowest index.
+    best = int(np.argmin(restart_values))
+    near_best = usable & (restart_values <= restart_values[best] + _NEAR_BEST)
+    off_vertex = np.max(np.abs(coeffs), axis=1) ** 2 <= _VERTEX_WEIGHT
     return OptimizationResult(
-        value=best.value,
-        argmin=best.coeffs,
-        restart_index=best_index,
-        iterations_used=best.iterations,
+        value=float(restart_values[best]),
+        argmin=coeffs[best],
+        restart_index=best,
+        iterations_used=int(iterations[best]),
         restart_values=restart_values,
-        failed_restarts=failed,
-        nontrivial_minimizer=nontrivial,
+        failed_restarts=tuple(int(i) for i in np.flatnonzero(~(usable & converged))),
+        nontrivial_minimizer=bool(np.any(near_best & off_vertex)),
     )
 
 
@@ -244,7 +350,7 @@ def average_entanglement(decomposition: Decomposition, dims, cut) -> float:
     )
 
 
-def pair_eof(a, config: OptimizationConfig | None = None, *, parallel=False) -> float:
+def pair_eof(a, config: OptimizationConfig | None = None) -> float:
     """Entanglement of formation of the family's pair marginal at weight ``a``.
 
     Returns the span minimum after verifying the constructive half: the
@@ -252,7 +358,7 @@ def pair_eof(a, config: OptimizationConfig | None = None, *, parallel=False) -> 
     """
     config = config or OptimizationConfig()
     family = ResidueFamily.from_a(a)
-    result = min_span_entanglement(a, config, parallel=parallel)
+    result = min_span_entanglement(a, config)
     decomposition = orbit_decomposition(result.argmin, family)
     avg = average_entanglement(decomposition, PAIR_DIMS, PAIR_CUT)
     if abs(avg - result.value) > 1e-8:
@@ -274,7 +380,6 @@ def maximize_pair_eof(
     grid_step=0.005,
     refine_width=1e-4,
     grid=None,
-    parallel=False,
 ) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
@@ -300,7 +405,7 @@ def maximize_pair_eof(
     trace: list[tuple[float, float]] = []
 
     def evaluate(a):
-        value = min_span_entanglement(float(a), config, parallel=parallel).value
+        value = min_span_entanglement(float(a), config).value
         trace.append((float(a), value))
         return value
 

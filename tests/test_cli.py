@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qshare
 from qshare.checks import family_checks, run_all_checks
 from qshare.cli import CSV_HEADER, main
 from qshare.optimize import OptimizationConfig
@@ -101,10 +105,24 @@ def test_seed_flag_overrides_env(capsys, monkeypatch):
 
 
 def test_seed_fully_determines_family_output(capsys):
-    argv = ["family", "--a", "0.5", "--restarts", "15", "--seed", "11", "--format", "json", "--parallel", "off"]
+    argv = ["family", "--a", "0.5", "--restarts", "15", "--seed", "11", "--format", "json"]
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert first == second
+    # Restarts do not depend on one another: a run that stops at the best
+    # restart reports the same result.
+    results = json.loads(first)["results"]
+    argv[argv.index("--restarts") + 1] = str(results["restart_index"] + 1)
+    _, prefix = run_cli(capsys, argv)
+    assert json.loads(prefix)["results"] == results
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(qshare.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, qshare.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_table_robust_across_seeds(capsys):

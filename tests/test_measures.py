@@ -53,6 +53,15 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy([0.5, -0.5])
 
+    def test_stack_gives_one_entropy_per_row(self):
+        stack = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 1e-13, 0.0]])
+        values = shannon_entropy(stack)
+        assert values.shape == (3,)
+        assert values == pytest.approx([shannon_entropy(row) for row in stack], abs=1e-15)
+        assert values == pytest.approx([2.0, 0.0, 1.0], abs=1e-12)
+        with pytest.raises(ValueError):
+            shannon_entropy(np.zeros((2, 0)))
+
 
 class TestPureEntanglement:
     def test_singlet_is_one_ebit(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
     OptimizationConfig,
+    _finish,
+    _lbfgs,
     _SpanObjective,
+    _starts,
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
@@ -77,23 +82,105 @@ class TestObjectiveGradient:
             for _ in range(5):
                 x = rng.standard_normal(14)
                 x /= np.linalg.norm(x)
-                _, grad = objective.value_and_grad(x)
+                _, grad = objective.value_and_grad(x[None])
                 for i in rng.choice(14, size=5, replace=False):
                     probe = x.copy()
                     probe[i] += step
-                    up, _ = objective.value_and_grad(probe)
+                    up, _ = objective.value_and_grad(probe[None])
                     probe[i] -= 2 * step
-                    down, _ = objective.value_and_grad(probe)
-                    numeric = (up - down) / (2 * step)
-                    assert grad[i] == pytest.approx(numeric, abs=5e-7)
+                    down, _ = objective.value_and_grad(probe[None])
+                    numeric = (up[0] - down[0]) / (2 * step)
+                    assert grad[0, i] == pytest.approx(numeric, abs=5e-7)
 
     def test_scale_invariance(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.461))
         rng = np.random.default_rng(2)
         x = rng.standard_normal(14)
-        f1, _ = objective.value_and_grad(x)
-        f2, _ = objective.value_and_grad(2.5 * x)
-        assert f1 == pytest.approx(f2, abs=1e-12)
+        f, _ = objective.value_and_grad(np.array([x, 2.5 * x]))
+        assert f[0] == pytest.approx(f[1], abs=1e-12)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        objective = _SpanObjective(ResidueFamily.from_a(0.5))
+        x = np.random.default_rng(4).standard_normal((40, 14))
+        f, grad = objective.value_and_grad(x)
+        for lo, hi in [(i, i + 1) for i in range(40)] + [(0, 2), (3, 6), (5, 12), (1, 28), (13, 40)]:
+            f_part, grad_part = objective.value_and_grad(x[lo:hi])
+            assert np.array_equal(f_part, f[lo:hi])
+            assert np.array_equal(grad_part, grad[lo:hi])
+
+
+class _Quadratic:
+    """|x - centre|^2 per row: a stand-in objective with a known minimizer."""
+
+    def __init__(self, centre):
+        self.centre = centre
+
+    def value_and_grad(self, x):
+        diff = x - self.centre
+        return np.einsum("ri,ri->r", diff, diff), 2.0 * diff
+
+
+class TestRestarts:
+    def test_seeds_share_no_start(self):
+        first = _starts(OptimizationConfig(restarts=40, seed=5))
+        second = _starts(OptimizationConfig(restarts=40, seed=6))
+        shared = (first[:, None, :] == second[None, :, :]).all(axis=2)
+        assert not shared.any()
+
+    def test_start_does_not_depend_on_restart_count(self):
+        many = _starts(OptimizationConfig(restarts=40, seed=5))
+        assert np.array_equal(_starts(OptimizationConfig(restarts=7, seed=5)), many[:7])
+        assert np.allclose(np.linalg.norm(many, axis=1), 1.0)
+
+    def test_restart_at_a_minimizer_converges(self):
+        objective = _SpanObjective(ResidueFamily.from_a(0.461))
+        argmin = min_span_entanglement(0.461, FAST).argmin
+        vertex = np.zeros(14)
+        vertex[3] = 1.0
+        starts = np.array([vertex, np.concatenate([argmin.real, argmin.imag])])
+        start_values, _ = objective.value_and_grad(starts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _, converged = _lbfgs(objective, starts, FAST)
+        assert converged.all()
+        final_values, _ = objective.value_and_grad(x)
+        assert np.all(final_values <= start_values + FAST.value_tolerance)
+
+    def test_stationary_start_converges_in_place(self):
+        centre = np.linspace(-1.0, 1.0, 14)
+        x, iterations, converged = _lbfgs(_Quadratic(centre), np.array([centre, centre + 0.5]), FAST)
+        assert converged.all()
+        assert iterations[0] == 0 and np.array_equal(x[0], centre)
+        assert np.allclose(x[1], centre, atol=1e-4)
+
+    def test_non_finite_start_fails_alone(self):
+        objective = _SpanObjective(ResidueFamily.from_a(0.5))
+        starts = _starts(OptimizationConfig(restarts=2, seed=0))
+        starts[0] = np.nan
+        x, iterations, converged = _lbfgs(objective, starts, FAST)
+        assert not converged[0] and iterations[0] == 0
+        assert converged[1] and np.all(np.isfinite(x[1]))
+
+    def test_iteration_limit_fails_the_restart(self):
+        config = OptimizationConfig(restarts=5, max_iterations=1, seed=0)
+        result = min_span_entanglement(0.5, config)
+        assert result.failed_restarts == tuple(range(5))
+        assert np.all(np.isfinite(result.restart_values))
+
+    @pytest.mark.parametrize("a", [0.3, 0.461, 0.5, 0.75])
+    def test_merged_minimum_matches_scipy_from_same_starts(self, a):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        objective = _SpanObjective(ResidueFamily.from_a(a))
+
+        def fun(x):
+            f, grad = objective.value_and_grad(x[None])
+            return f[0], grad[0]
+
+        options = {"maxiter": FAST.max_iterations, "ftol": FAST.value_tolerance, "gtol": FAST.step_tolerance}
+        runs = [minimize(fun, x0, jac=True, method="L-BFGS-B", options=options) for x0 in _starts(FAST)]
+        _, values = _finish(objective, np.array([res.x for res in runs]))
+        oracle = values.min()
+        assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=FAST.value_tolerance)
 
 
 class TestMinSpanEntanglement:
@@ -122,12 +209,13 @@ class TestMinSpanEntanglement:
         assert first.restart_index == second.restart_index
         assert np.array_equal(first.argmin, second.argmin)
 
-    def test_parallel_merge_matches_sequential(self):
-        sequential = min_span_entanglement(0.5, FAST)
-        threaded = min_span_entanglement(0.5, FAST, parallel=True)
-        assert np.array_equal(sequential.restart_values, threaded.restart_values)
-        assert sequential.restart_index == threaded.restart_index
-        assert sequential.value == threaded.value
+    def test_batch_prefix_matches_smaller_batch(self):
+        full = min_span_entanglement(0.5, FAST)
+        for k in (1, 7):
+            prefix = min_span_entanglement(0.5, OptimizationConfig(restarts=k, seed=FAST.seed))
+            assert np.array_equal(prefix.restart_values, full.restart_values[:k])
+            assert prefix.failed_restarts == tuple(i for i in full.failed_restarts if i < k)
+            assert prefix.value == full.restart_values[:k].min()
 
     def test_seed_changes_restart_stream(self):
         other = OptimizationConfig(restarts=20, seed=1)
