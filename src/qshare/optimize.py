@@ -36,8 +36,8 @@ PAIR_CUT = (0,)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# A restart whose largest squared coefficient exceeds this is treated as
-# having converged toward a basis vertex.
+# A near-best restart whose largest squared coefficient is at most this
+# counts as a non-basis minimizer.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -87,7 +87,9 @@ class OptimizationResult:
     """Best local minimum found over all restarts.
 
     ``value`` is the entanglement at the gauged ``argmin`` and never exceeds
-    any entry of ``restart_values``.  Restarts that did not converge are
+    any entry of ``restart_values``.  No entry exceeds the closed-form value
+    of a basis vertex: a restart that ends above it is replaced by its
+    nearest vertex.  Restarts that did not converge are
     listed in ``failed_restarts`` but still contribute their best point.
     ``nontrivial_minimizer`` records whether any near-best restart ended away
     from a basis vertex.
@@ -104,12 +106,32 @@ class OptimizationResult:
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Outcome of the outer maximization over the aligned weight a."""
+    """Outcome of the outer maximization over the aligned weight a.
+
+    ``scan_trace`` lists the solved points as (a, value) in solve order: the
+    grid points in decreasing order of their vertex bound, then the
+    golden-section points.  ``unimodal`` is judged over the solved grid
+    interval in grid order.
+    """
 
     a_star: float
     e_star: float
     scan_trace: tuple[tuple[float, float], ...]
     unimodal: bool
+
+
+def _vertex_entanglement(family: ResidueFamily) -> float:
+    """Entanglement H(a^2, b^2, b^2, b^2) of every basis vertex of the span.
+
+    Pair state j has amplitude a at (j, j) and b at (j + k, j + 3k) for the
+    three residues k, all in distinct rows and columns, so its Schmidt
+    spectrum is (a^2, b^2, b^2, b^2).  Each vertex is feasible, so this
+    bounds the span minimum from above.  The spectrum is summed in ascending
+    order, as an eigensolver returns it, which reproduces the objective's
+    value at a vertex to the bit.
+    """
+    a2, b2 = family.a * family.a, family.b * family.b
+    return shannon_entropy(np.sort([a2, b2, b2, b2]))
 
 
 class _SpanObjective:
@@ -123,6 +145,7 @@ class _SpanObjective:
     def __init__(self, family: ResidueFamily):
         # Pair state j reshaped to the 7x7 amplitude matrix across the cut.
         self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
+        self.vertex_value = _vertex_entanglement(family)
 
     def entanglement(self, coeffs):
         """Entanglement (R,) at each row of unit-norm complex coefficients (R, 7)."""
@@ -210,6 +233,14 @@ def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
 
     def search(rows):
         # A new line search from the current point along the L-BFGS direction.
+        # A row whose gradient is zero to round-off (a step as long as the
+        # point itself would change f by at most `dim` rounding errors of f)
+        # is stationary and converges where it stands.
+        change = np.linalg.norm(g[rows], axis=1) * np.linalg.norm(x[rows], axis=1)
+        stationary = change <= dim * np.finfo(float).eps * np.maximum(np.abs(f[rows]), 1.0)
+        converged[rows[stationary]] = True
+        running[rows[stationary]] = False
+        rows = rows[~stationary]
         d[rows] = _direction(g[rows], s_hist[rows], y_hist[rows], rho_hist[rows])
         slope[rows] = np.einsum("ri,ri->r", g[rows], d[rows])
         step[rows] = 1.0
@@ -289,14 +320,14 @@ def _finish(objective: _SpanObjective, x):
     coeffs[usable] = np.array([gauge_fix(row / n) for row, n in zip(v[usable], norms[usable])]).reshape(-1, MODULUS)
     values = np.full(len(x), np.inf)
     values[usable] = objective.entanglement(coeffs[usable])
-    # The exact vertex is feasible, so snap to it whenever that is better;
-    # this closes the asymptotic tail of descending into a basis state.
-    vertices = np.eye(MODULUS, dtype=complex)
-    vertex_values = objective.entanglement(vertices)
+    # Every basis vertex is feasible at the closed-form vertex value, so a
+    # restart that ends above it (in a worse local minimum, or in the slow
+    # tail of a descent into a basis state) is replaced by its nearest
+    # vertex.  No solve then reports more than the vertex value.
     peaks = np.argmax(np.abs(coeffs), axis=1)
-    snap = (np.abs(coeffs[np.arange(len(x)), peaks]) ** 2 > _VERTEX_WEIGHT) & (vertex_values[peaks] < values)
-    coeffs[snap] = vertices[peaks[snap]]
-    values[snap] = vertex_values[peaks[snap]]
+    snap = usable & (values > objective.vertex_value)
+    coeffs[snap] = np.eye(MODULUS, dtype=complex)[peaks[snap]]
+    values[snap] = objective.vertex_value
     return coeffs, values
 
 
@@ -390,6 +421,14 @@ def maximize_pair_eof(
     branch on both sides of a = 1/2), so ``unimodal=False`` is reported as a
     warning rather than suppressing refinement; the result is the best of all
     evaluated points and never falls below the grid best.
+
+    Grid points are solved in decreasing order of their closed-form vertex
+    value V(a), and the scan stops at the first point whose V(a) lies below
+    the best value solved so far.  That skips only points that cannot win:
+    a solve never reports more than V(a), and every later point has a lower
+    bound still.  The best grid value and its a are therefore those of the
+    exhaustive scan.  V(a) rises up to a = 1/2 and falls after it, so the
+    solved points form one grid interval around 1/2.
     """
     config = config or OptimizationConfig()
     if grid is None:
@@ -409,9 +448,17 @@ def maximize_pair_eof(
         trace.append((float(a), value))
         return value
 
-    grid_values = [evaluate(a) for a in grid]
-    peak = int(np.argmax(grid_values))
-    unimodal = _is_unimodal(grid_values, peak)
+    bounds = np.array([_vertex_entanglement(ResidueFamily.from_a(a)) for a in grid])
+    solved = {}
+    for i in np.argsort(-bounds, kind="stable"):
+        if solved and bounds[i] < max(solved.values()):
+            break
+        solved[i] = evaluate(grid[i])
+    order = sorted(solved)
+    grid_values = [solved[i] for i in order]
+    offset = int(np.argmax(grid_values))
+    peak = int(order[offset])
+    unimodal = _is_unimodal(grid_values, offset)
 
     if grid.size >= 2:
         lo = float(grid[max(0, peak - 1)])

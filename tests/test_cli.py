@@ -39,6 +39,14 @@ def test_table_json_schema_and_roundtrip(capsys):
         assert row["ratio"] == pytest.approx(row["e_bound"] / np.log2(row["d"]), abs=1e-9)
 
 
+def test_table_default_grid_meets_reference(capsys):
+    code, out = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--seed", "0"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert abs(results["a_star"] - 0.461) <= 0.005
+    assert abs(results["rows"][2]["e_bound"] - 1.9944) <= 5e-4
+
+
 def test_table_csv_header(capsys):
     code, out = run_cli(capsys, ["table", "--format", "csv", *TABLE_ARGS])
     assert code == 0

@@ -12,6 +12,7 @@ from qshare.optimize import (
     _lbfgs,
     _SpanObjective,
     _starts,
+    _vertex_entanglement,
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
@@ -153,6 +154,18 @@ class TestRestarts:
         assert iterations[0] == 0 and np.array_equal(x[0], centre)
         assert np.allclose(x[1], centre, atol=1e-4)
 
+    def test_round_off_gradient_start_converges_in_place(self):
+        # At the basis vertex e_3 the gradient is round-off along x itself; a
+        # unit step there would land on 2 e_3 at an unchanged value.
+        objective = _SpanObjective(ResidueFamily.from_a(0.461))
+        vertex = np.zeros((1, 14))
+        vertex[0, 3] = 1.0
+        _, grad = objective.value_and_grad(vertex)
+        assert 0.0 < np.linalg.norm(grad) < 1e-14
+        x, iterations, converged = _lbfgs(objective, vertex, FAST)
+        assert converged[0] and iterations[0] == 0
+        assert np.array_equal(x, vertex)
+
     def test_non_finite_start_fails_alone(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.5))
         starts = _starts(OptimizationConfig(restarts=2, seed=0))
@@ -245,6 +258,31 @@ class TestMinSpanEntanglement:
         assert max(abs(v - result.value) for v in values) < 1e-10
 
 
+class TestVertexBound:
+    @pytest.mark.parametrize("a", [0.0, 0.2, 0.461, 0.5, 0.8, 1.0])
+    def test_matches_closed_form(self, a):
+        a2 = a * a
+        b2 = (1.0 - a2) / 3.0
+        closed = -3.0 * b2 * np.log2(b2) if b2 > 0.0 else 0.0
+        if a2 > 0.0:
+            closed -= a2 * np.log2(a2)
+        assert _vertex_entanglement(ResidueFamily.from_a(a)) == pytest.approx(closed, abs=1e-12)
+
+    def test_solve_never_exceeds_vertex_value(self):
+        # Seed 7's best restart at a = 0.43 stops in a local minimum 0.0135
+        # above the vertex value, away from every vertex.
+        result = min_span_entanglement(0.43, OptimizationConfig(restarts=20, seed=7))
+        vertex_value = _vertex_entanglement(ResidueFamily.from_a(0.43))
+        assert result.value <= vertex_value
+        assert np.all(result.restart_values <= vertex_value)
+        assert not result.nontrivial_minimizer
+
+    def test_local_minima_above_the_vertex_do_not_move_the_peak(self):
+        scan = maximize_pair_eof(OptimizationConfig(restarts=20, seed=7))
+        assert abs(scan.a_star - 0.461) <= 0.005
+        assert abs(scan.e_star - 1.9944) <= 5e-4
+
+
 class TestPairEof:
     def test_endpoints(self):
         assert pair_eof(1.0, FAST) == pytest.approx(0.0, abs=1e-9)
@@ -283,6 +321,25 @@ class TestMaximizePairEof:
         scan = maximize_pair_eof(FAST, grid=[0.2, 0.5, 0.8])
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star == max(values)
+
+    def test_pruning_matches_exhaustive_scan(self):
+        grid = np.linspace(0.0, 1.0, 51).tolist()
+        exhaustive = {a: min_span_entanglement(a, FAST).value for a in grid}
+        bounds = {a: _vertex_entanglement(ResidueFamily.from_a(a)) for a in grid}
+        scan = maximize_pair_eof(FAST, grid_step=0.02)
+        solved = [(a, v) for a, v in scan.scan_trace if a in exhaustive]
+        # Solved in decreasing order of the bound, each value as exhaustive.
+        assert [bounds[a] for a, _ in solved] == sorted((bounds[a] for a, _ in solved), reverse=True)
+        assert all(v == exhaustive[a] for a, v in solved)
+        best_value = max(v for _, v in solved)
+        best_a = min(a for a, v in solved if v == best_value)
+        peak = grid[int(np.argmax([exhaustive[a] for a in grid]))]
+        assert (best_a, best_value) == (peak, exhaustive[peak])
+        solved_a = {a for a, _ in solved}
+        assert all(bounds[a] < scan.e_star for a in grid if a not in solved_a)
+        indices = [i for i, a in enumerate(grid) if a in solved_a]
+        assert indices == list(range(indices[0], indices[-1] + 1))
+        assert grid[indices[0]] <= 0.5 <= grid[indices[-1]]
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
