@@ -33,6 +33,7 @@ from .optimize import (
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
+    orbit_certificate,
     pair_eof,
     span_entanglement,
 )

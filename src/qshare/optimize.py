@@ -27,6 +27,7 @@ __all__ = [
     "span_entanglement",
     "min_span_entanglement",
     "average_entanglement",
+    "orbit_certificate",
     "pair_eof",
     "maximize_pair_eof",
 ]
@@ -35,6 +36,8 @@ PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Width of the aligned-weight bracket at which golden-section refinement stops.
+_REFINE_WIDTH = 1e-4
 
 # A near-best restart whose largest squared coefficient is at most this
 # counts as a non-basis minimizer.
@@ -110,14 +113,13 @@ class ScanResult:
 
     ``scan_trace`` lists the solved points as (a, value) in solve order: the
     grid points in decreasing order of their vertex bound, then the
-    golden-section points.  ``unimodal`` is judged over the solved grid
-    interval in grid order.
+    golden-section points.  ``e_star`` at ``a_star`` is the first largest
+    value of the trace, and its minimizer's orbit certificate passed.
     """
 
     a_star: float
     e_star: float
     scan_trace: tuple[tuple[float, float], ...]
-    unimodal: bool
 
 
 def _vertex_entanglement(family: ResidueFamily) -> float:
@@ -381,46 +383,46 @@ def average_entanglement(decomposition: Decomposition, dims, cut) -> float:
     )
 
 
+def orbit_certificate(result: OptimizationResult, a) -> tuple[float, float]:
+    """Check the constructive half of a span minimum at aligned weight ``a``.
+
+    The 49-element symmetry orbit of ``result.argmin`` is a decomposition of
+    the pair marginal whose average entanglement is ``result.value``, so the
+    minimum is the marginal's entanglement of formation.  Returns the
+    reconstruction residual (largest entry deviation of the orbit mixture
+    from the marginal) and the gap between the orbit average and the value.
+    Raises ``RuntimeError`` unless the residual is below 1e-10 and the gap at
+    most 1e-8.
+    """
+    family = ResidueFamily.from_a(a)
+    decomposition = orbit_decomposition(result.argmin, family)
+    reconstruction = float(np.max(np.abs(decomposition.mixture() - family.pair_density())))
+    average_gap = abs(average_entanglement(decomposition, PAIR_DIMS, PAIR_CUT) - result.value)
+    if not (reconstruction < 1e-10 and average_gap <= 1e-8):
+        raise RuntimeError(
+            f"orbit certificate failed at a={a}: reconstruction {reconstruction!r}, average gap {average_gap!r}"
+        )
+    return reconstruction, average_gap
+
+
 def pair_eof(a, config: OptimizationConfig | None = None) -> float:
     """Entanglement of formation of the family's pair marginal at weight ``a``.
 
-    Returns the span minimum after verifying the constructive half: the
-    symmetry orbit of the minimizer must reproduce that average entanglement.
+    Returns the span minimum after its :func:`orbit_certificate` passes.
     """
-    config = config or OptimizationConfig()
-    family = ResidueFamily.from_a(a)
-    result = min_span_entanglement(a, config)
-    decomposition = orbit_decomposition(result.argmin, family)
-    avg = average_entanglement(decomposition, PAIR_DIMS, PAIR_CUT)
-    if abs(avg - result.value) > 1e-8:
-        raise RuntimeError(
-            f"orbit decomposition average {avg!r} deviates from the span minimum {result.value!r}"
-        )
+    result = min_span_entanglement(a, config or OptimizationConfig())
+    orbit_certificate(result, a)
     return result.value
 
 
-def _is_unimodal(values, peak, tol=1e-8):
-    rising = all(values[i + 1] >= values[i] - tol for i in range(peak))
-    falling = all(values[i + 1] <= values[i] + tol for i in range(peak, len(values) - 1))
-    return rising and falling
-
-
-def maximize_pair_eof(
-    config: OptimizationConfig | None = None,
-    *,
-    grid_step=0.005,
-    refine_width=1e-4,
-    grid=None,
-) -> ScanResult:
+def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.005) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
-    Scans a coarse grid (either uniform with ``grid_step`` or the explicit
-    ``grid``), then refines the bracketing interval of the best grid point by
-    golden-section search down to ``refine_width``.  The fine-grid trace has
-    two genuine local maxima (the aligned-basis branch crosses the mixed
-    branch on both sides of a = 1/2), so ``unimodal=False`` is reported as a
-    warning rather than suppressing refinement; the result is the best of all
-    evaluated points and never falls below the grid best.
+    Scans the uniform grid of step ``grid_step`` in (0, 0.5], then refines
+    the bracketing interval of the best grid point by golden-section search
+    down to a width of 1e-4.  The result is the best of all solved points and
+    never falls below the grid best; the orbit certificate of its minimizer
+    must pass (see :func:`orbit_certificate`), which needs no further solve.
 
     Grid points are solved in decreasing order of their closed-form vertex
     value V(a), and the scan stops at the first point whose V(a) lies below
@@ -431,22 +433,20 @@ def maximize_pair_eof(
     solved points form one grid interval around 1/2.
     """
     config = config or OptimizationConfig()
-    if grid is None:
-        if not 0.0 < grid_step <= 0.5:
-            raise ValueError("grid_step must lie in (0, 0.5]")
-        npts = int(round(1.0 / grid_step)) + 1
-        grid = np.linspace(0.0, 1.0, npts)
-    else:
-        grid = np.asarray(sorted(float(a) for a in grid), dtype=float)
-        if grid.size == 0 or grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ValueError("explicit grid must be non-empty within [0, 1]")
+    if not 0.0 < grid_step <= 0.5:
+        raise ValueError("grid_step must lie in (0, 0.5]")
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
 
     trace: list[tuple[float, float]] = []
+    best = None  # (a, result) of the first solve with the largest value
 
     def evaluate(a):
-        value = min_span_entanglement(float(a), config).value
-        trace.append((float(a), value))
-        return value
+        nonlocal best
+        result = min_span_entanglement(float(a), config)
+        trace.append((float(a), result.value))
+        if best is None or result.value > best[1].value:
+            best = (float(a), result)
+        return result.value
 
     bounds = np.array([_vertex_entanglement(ResidueFamily.from_a(a)) for a in grid])
     solved = {}
@@ -454,29 +454,24 @@ def maximize_pair_eof(
         if solved and bounds[i] < max(solved.values()):
             break
         solved[i] = evaluate(grid[i])
-    order = sorted(solved)
-    grid_values = [solved[i] for i in order]
-    offset = int(np.argmax(grid_values))
-    peak = int(order[offset])
-    unimodal = _is_unimodal(grid_values, offset)
+    peak = max(solved, key=lambda i: (solved[i], -i))  # ties go to the lowest a
 
-    if grid.size >= 2:
-        lo = float(grid[max(0, peak - 1)])
-        hi = float(grid[min(grid.size - 1, peak + 1)])
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        f1 = evaluate(x1)
-        f2 = evaluate(x2)
-        while hi - lo > refine_width:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _INVPHI * (hi - lo)
-                f2 = evaluate(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _INVPHI * (hi - lo)
-                f1 = evaluate(x1)
+    lo = float(grid[max(0, peak - 1)])
+    hi = float(grid[min(grid.size - 1, peak + 1)])
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1 = evaluate(x1)
+    f2 = evaluate(x2)
+    while hi - lo > _REFINE_WIDTH:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = evaluate(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = evaluate(x1)
 
-    best = max(range(len(trace)), key=lambda i: trace[i][1])
-    a_star, e_star = trace[best]
-    return ScanResult(a_star=a_star, e_star=e_star, scan_trace=tuple(trace), unimodal=unimodal)
+    a_star, result = best
+    orbit_certificate(result, a_star)
+    return ScanResult(a_star=a_star, e_star=result.value, scan_trace=tuple(trace))

@@ -22,7 +22,6 @@ __all__ = [
     "MODULUS",
     "quadratic_residues",
     "singlet_state",
-    "swap_operator",
     "singlet_pair_reduced",
     "ResidueFamily",
     "gauge_fix",

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import qshare
-from qshare.checks import family_checks, run_all_checks
+from qshare.checks import family_checks, run_all_checks, singlet_cross_check
 from qshare.cli import CSV_HEADER, main
 from qshare.optimize import OptimizationConfig
-from qshare.states import ResidueFamily
+from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
 
 # Fast-but-meaningful CLI settings for tests; the acceptance module runs the
 # real budgets.
@@ -40,11 +40,25 @@ def test_table_json_schema_and_roundtrip(capsys):
 
 
 def test_table_default_grid_meets_reference(capsys):
-    code, out = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--seed", "0"])
+    code, out = run_cli(capsys, ["table", "--strict", "--format", "json", "--restarts", "40", "--seed", "0"])
     assert code == 0
-    results = json.loads(out)["results"]
+    report = json.loads(out)
+    assert report["warnings"] == []
+    results = report["results"]
     assert abs(results["a_star"] - 0.461) <= 0.005
     assert abs(results["rows"][2]["e_bound"] - 1.9944) <= 5e-4
+
+
+def test_table_fails_on_a_corrupted_orbit(capsys, monkeypatch):
+    # The orbit of the uniform span state, not of the minimizer, averages to
+    # more than the peak value, so the peak's certificate must fail.
+    def uniform_orbit(coeffs, family):
+        return orbit_decomposition(np.ones(7) / np.sqrt(7), family)
+
+    monkeypatch.setattr("qshare.optimize.orbit_decomposition", uniform_orbit)
+    code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
+    assert code == 2
+    assert out == ""
 
 
 def test_table_csv_header(capsys):
@@ -170,6 +184,27 @@ def test_verify_suite_catches_corrupted_residues():
     # corruption surfaces through the symmetry checks instead.
     assert by_name["pair basis is orthonormal"]
     assert any(not r.passed for r in results)
+
+
+def test_index_pattern_check_compares_against_the_state(monkeypatch):
+    # A member state built with the second and third labels swapped.
+    def swapped_state(self):
+        amp = np.zeros(7**3, dtype=complex)
+        for j in range(7):
+            amp[j * 49 + j * 7 + j] += self.a / np.sqrt(7)
+            for k in self.residues:
+                amp[((j + k) % 7) * 49 + ((j + 4 * k) % 7) * 7 + (j + 2 * k) % 7] += self.b / np.sqrt(7)
+        return amp
+
+    monkeypatch.setattr(ResidueFamily, "state", swapped_state)
+    results = family_checks(ResidueFamily.from_a(0.461), np.random.default_rng(0))
+    by_name = {r.name: r.passed for r in results}
+    assert not by_name["equivalent index patterns build one state"]
+
+
+def test_singlet_cross_check_sees_a_wrong_marginal():
+    assert singlet_cross_check(3, singlet_pair_reduced(3)) < 1e-10
+    assert singlet_cross_check(3, np.identity(9) / 9) > 0.01
 
 
 def test_run_all_checks_green():

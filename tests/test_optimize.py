@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qshare.measures import pure_entanglement
+from qshare.measures import Decomposition, pure_entanglement
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
@@ -33,6 +33,19 @@ def basis_coeffs(j):
     coeffs = np.zeros(7, dtype=complex)
     coeffs[j] = 1.0
     return coeffs
+
+
+def uniform_orbit(coeffs, family):
+    """Orbit of the uniform span state, whatever minimizer it is asked for."""
+    return orbit_decomposition(np.ones(7) / np.sqrt(7), family)
+
+
+def rotated_orbit(coeffs, family):
+    """The right orbit moved by a local unitary on the first particle: every
+    element keeps its entanglement, but the mixture is no longer the marginal."""
+    dec = orbit_decomposition(coeffs, family)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+    return Decomposition(dec.weights, dec.states @ np.kron(q, np.eye(7)).T)
 
 
 class TestConfig:
@@ -291,6 +304,14 @@ class TestPairEof:
     def test_matches_min_span_value(self):
         assert pair_eof(0.5, FAST) == min_span_entanglement(0.5, FAST).value
 
+    def test_rejects_wrong_reconstruction_alone(self, monkeypatch):
+        result = min_span_entanglement(0.5, FAST)
+        dec = rotated_orbit(result.argmin, ResidueFamily.from_a(0.5))
+        assert average_entanglement(dec, PAIR_DIMS, PAIR_CUT) == pytest.approx(result.value, abs=1e-10)
+        monkeypatch.setattr("qshare.optimize.orbit_decomposition", rotated_orbit)
+        with pytest.raises(RuntimeError, match="orbit certificate"):
+            pair_eof(0.5, FAST)
+
 
 class TestAverageEntanglement:
     def test_uniform_orbit_average(self):
@@ -308,17 +329,8 @@ class TestAverageEntanglement:
 
 
 class TestMaximizePairEof:
-    def test_single_point_grid_balanced(self):
-        scan = maximize_pair_eof(OptimizationConfig(restarts=60, seed=0), grid=[0.5])
-        assert scan.a_star == 0.5
-        assert scan.e_star == pytest.approx(1.9933, abs=5e-4)
-
-    def test_single_point_grid_aligned(self):
-        scan = maximize_pair_eof(FAST, grid=[1.0])
-        assert scan.e_star == pytest.approx(0.0, abs=1e-9)
-
     def test_trace_contains_best(self):
-        scan = maximize_pair_eof(FAST, grid=[0.2, 0.5, 0.8])
+        scan = maximize_pair_eof(FAST, grid_step=0.5)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star == max(values)
 
@@ -343,6 +355,11 @@ class TestMaximizePairEof:
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            maximize_pair_eof(FAST, grid=[1.2])
+            maximize_pair_eof(FAST, grid_step=0.6)
         with pytest.raises(ValueError):
             maximize_pair_eof(FAST, grid_step=0.0)
+
+    def test_certifies_the_peak(self, monkeypatch):
+        monkeypatch.setattr("qshare.optimize.orbit_decomposition", uniform_orbit)
+        with pytest.raises(RuntimeError, match="orbit certificate"):
+            maximize_pair_eof(FAST, grid_step=0.05)
