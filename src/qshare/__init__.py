@@ -3,7 +3,6 @@
 from .linalg import (
     SPECTRUM_CLIP,
     hermitian_eigensystem,
-    kron,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,

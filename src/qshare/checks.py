@@ -16,7 +16,6 @@ import numpy as np
 
 from .linalg import (
     hermitian_eigensystem,
-    kron,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,
@@ -130,11 +129,6 @@ def linalg_checks(rng) -> list[CheckResult]:
         dev = max(dev, float(np.max(np.abs(left[:k] - right[:k]))))
         dev = max(dev, float(abs(left.sum() - 1.0)), float(abs(right.sum() - 1.0)))
     out.append(_result("reduced spectra agree on both sides of a cut", dev, 1e-10))
-
-    # Associativity is exact on integer-valued matrices.
-    mats = [rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2)) for _ in range(3)]
-    assoc = np.array_equal(kron(kron(mats[0], mats[1]), mats[2]), kron(mats[0], kron(mats[1], mats[2])))
-    out.append(CheckResult("kron is associative", assoc, "exact comparison on integer matrices"))
     return out
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "SPECTRUM_CLIP",
-    "kron",
     "swap_operator",
     "partial_trace",
     "reduced_density_matrix",
@@ -91,15 +90,6 @@ def check_density_matrix(rho, dim=None, *, atol=1e-10, psd=True, name="rho"):
         if lowest < -1e-10:
             raise ValueError(f"{name} has a negative eigenvalue {lowest:.3e}")
     return rho
-
-
-def kron(a, b):
-    """Kronecker product; the first factor carries the most significant index."""
-    arr_a = np.asarray(a, dtype=complex)
-    arr_b = np.asarray(b, dtype=complex)
-    if arr_a.ndim != 2 or arr_b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(arr_a, arr_b)
 
 
 def swap_operator(d):

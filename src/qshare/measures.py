@@ -156,8 +156,11 @@ def werner_fit(rho, d, tol=1e-10):
     """Least-squares (a_w, b_w) for rho ~ a_w I + b_w F on a d x d pair.
 
     Returns a :class:`WernerParams` when the max-norm residual is at most
-    ``tol``, otherwise ``None`` (an explicit not-Werner verdict).
+    ``tol``, otherwise ``None`` (an explicit not-Werner verdict).  Raises
+    ``ValueError`` unless ``tol`` is a finite non-negative number.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     d = int(d)
     rho = check_density_matrix(rho, d * d)
     t_id = float(np.trace(rho).real)

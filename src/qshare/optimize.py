@@ -9,7 +9,6 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,14 @@ __all__ = [
 PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Width of the aligned-weight bracket at which golden-section refinement stops.
+# Width of the aligned-weight bracket at which the bisection of the scan stops.
 _REFINE_WIDTH = 1e-4
+# A solve within this of the vertex value V(a) lies on the vertex branch.  A
+# vertex-side solve can end a hair off its vertex and report up to about
+# 2e-12 below V(a); a mixed-side solve lies 5.7e-6 below V(a) as close as
+# 2.5e-5 to the crossing, so only points within about 5e-9 of it can be
+# misrouted.
+_VERTEX_MARGIN = 1e-9
 
 # A near-best restart whose largest squared coefficient is at most this
 # counts as a non-basis minimizer.
@@ -113,7 +117,7 @@ class ScanResult:
 
     ``scan_trace`` lists the solved points as (a, value) in solve order: the
     grid points in decreasing order of their vertex bound, then the
-    golden-section points.  ``e_star`` at ``a_star`` is the first largest
+    bisection points.  ``e_star`` at ``a_star`` is the first largest
     value of the trace, and its minimizer's orbit certificate passed.
     """
 
@@ -418,60 +422,53 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.005) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
-    Scans the uniform grid of step ``grid_step`` in (0, 0.5], then refines
-    the bracketing interval of the best grid point by golden-section search
-    down to a width of 1e-4.  The result is the best of all solved points and
-    never falls below the grid best; the orbit certificate of its minimizer
-    must pass (see :func:`orbit_certificate`), which needs no further solve.
+    The span minimum is the smaller of the closed-form vertex value V(a) and
+    the mixed-branch minimum, and it peaks where the two cross.  The scan
+    solves the uniform grid of step ``grid_step`` (1/n for an integer
+    n >= 2), then bisects the bracket between the best grid point's
+    neighbours down to a width of 1e-4.  From a solve on the vertex branch
+    (within ``_VERTEX_MARGIN`` of V(a)) the crossing lies toward a = 1/2, from
+    one on the mixed branch away from it, and from a = 1/2 itself the
+    bisection follows the lower crossing.  The bracket's midpoint is the grid
+    peak, so its solve is the first bisection step.  The result is the first
+    best of all solved points; the orbit certificate of its minimizer must
+    pass (see :func:`orbit_certificate`), which needs no further solve.
 
-    Grid points are solved in decreasing order of their closed-form vertex
-    value V(a), and the scan stops at the first point whose V(a) lies below
-    the best value solved so far.  That skips only points that cannot win:
-    a solve never reports more than V(a), and every later point has a lower
-    bound still.  The best grid value and its a are therefore those of the
-    exhaustive scan.  V(a) rises up to a = 1/2 and falls after it, so the
-    solved points form one grid interval around 1/2.
+    Grid points are solved in decreasing order of V(a), and the scan stops at
+    the first point whose V(a) lies below the best value solved so far.  That
+    skips only points that cannot win: a solve never reports more than V(a),
+    and every later point has a lower bound still.  The best grid value and
+    its a are therefore those of the exhaustive scan.  V(a) rises up to
+    a = 1/2 and falls after it, so the solved points form one grid interval
+    around 1/2.
     """
     config = config or OptimizationConfig()
-    if not 0.0 < grid_step <= 0.5:
-        raise ValueError("grid_step must lie in (0, 0.5]")
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    if not (0.0 < grid_step <= 0.5 and abs(1.0 / grid_step - round(1.0 / grid_step)) <= 1e-9):
+        raise ValueError("grid_step must be 1/n for an integer n >= 2")
+    grid = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
 
-    trace: list[tuple[float, float]] = []
-    best = None  # (a, result) of the first solve with the largest value
-
-    def evaluate(a):
-        nonlocal best
-        result = min_span_entanglement(float(a), config)
-        trace.append((float(a), result.value))
-        if best is None or result.value > best[1].value:
-            best = (float(a), result)
-        return result.value
-
+    solves: list[tuple[float, OptimizationResult]] = []  # (a, result) in solve order
     bounds = np.array([_vertex_entanglement(ResidueFamily.from_a(a)) for a in grid])
-    solved = {}
     for i in np.argsort(-bounds, kind="stable"):
-        if solved and bounds[i] < max(solved.values()):
+        if solves and bounds[i] < max(result.value for _, result in solves):
             break
-        solved[i] = evaluate(grid[i])
-    peak = max(solved, key=lambda i: (solved[i], -i))  # ties go to the lowest a
+        solves.append((float(grid[i]), min_span_entanglement(float(grid[i]), config)))
+    a, result = max(solves, key=lambda s: (s[1].value, -s[0]))  # ties go to the lowest a
 
-    lo = float(grid[max(0, peak - 1)])
-    hi = float(grid[min(grid.size - 1, peak + 1)])
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    while hi - lo > _REFINE_WIDTH:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = evaluate(x2)
+    p = int(np.searchsorted(grid, a))
+    lo, hi = float(grid[max(0, p - 1)]), float(grid[min(grid.size - 1, p + 1)])
+    while True:
+        vertex_side = result.value >= _vertex_entanglement(ResidueFamily.from_a(a)) - _VERTEX_MARGIN
+        if (a < 0.5 and vertex_side) or (a > 0.5 and not vertex_side):
+            lo = a
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = evaluate(x1)
+            hi = a
+        if hi - lo <= _REFINE_WIDTH:
+            break
+        a = (lo + hi) / 2
+        result = min_span_entanglement(a, config)
+        solves.append((a, result))
 
-    a_star, result = best
+    a_star, result = max(solves, key=lambda s: s[1].value)  # the first largest
     orbit_certificate(result, a_star)
-    return ScanResult(a_star=a_star, e_star=result.value, scan_trace=tuple(trace))
+    return ScanResult(a_star=a_star, e_star=result.value, scan_trace=tuple((a, r.value) for a, r in solves))

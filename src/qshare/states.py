@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .linalg import check_pure_state, kron, swap_operator
+from .linalg import check_pure_state, swap_operator
 from .measures import Decomposition
 
 __all__ = [
@@ -213,8 +213,8 @@ def symmetry_operators() -> SymmetryOps:
     shift = np.zeros((MODULUS, MODULUS), dtype=complex)
     shift[(levels + 1) % MODULUS, levels] = 1.0
     # Exponents reduced mod 7 keep the entries exact roots of unity.
-    pair_phase = kron(np.diag(powers[(5 * levels) % MODULUS]), np.diag(powers[(3 * levels) % MODULUS]))
-    pair_shift = kron(shift, shift)
+    pair_phase = np.kron(np.diag(powers[(5 * levels) % MODULUS]), np.diag(powers[(3 * levels) % MODULUS]))
+    pair_shift = np.kron(shift, shift)
     return SymmetryOps(phase=phase, shift=shift, pair_phase=pair_phase, pair_shift=pair_shift, omega=complex(omega))
 
 

@@ -61,6 +61,23 @@ def test_table_fails_on_a_corrupted_orbit(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singlet", "--tol", "nan"],
+        ["table", "--tol", "-1", *TABLE_ARGS],
+        ["table", "--grid-step", "0.3", "--restarts", "5"],
+    ],
+    ids=["singlet-tol-nan", "table-tol-negative", "table-grid-step-0.3"],
+)
+def test_bad_tolerance_or_grid_step_exits_2(capsys, argv):
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_table_csv_header(capsys):
     code, out = run_cli(capsys, ["table", "--format", "csv", *TABLE_ARGS])
     assert code == 0

@@ -3,46 +3,18 @@ import pytest
 
 from qshare.linalg import (
     hermitian_eigensystem,
-    kron,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,
     swap_operator,
 )
 
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
 
 def random_state(rng, dim):
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_y_pair():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1.0, 1.0, 1.0, -1.0
-    assert np.array_equal(kron(SIGMA_Y, SIGMA_Y), expected)
-
-
-def test_kron_diagonal_phase_powers():
-    omega = np.exp(2j * np.pi / 7)
-    j = np.arange(7)
-    left = np.diag(omega ** ((5 * j) % 7))
-    right = np.diag(omega ** ((3 * j) % 7))
-    product = kron(left, right)
-    expected = np.diag([omega ** ((5 * a + 3 * b) % 7) for a in range(7) for b in range(7)])
-    assert np.max(np.abs(product - expected)) < 1e-12
-
-
-def test_kron_associative_on_integer_matrices():
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.integers(-4, 5, size=(2, 3)) + 1j * rng.integers(-4, 5, size=(2, 3)) for _ in range(3))
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 def test_partial_trace_product_state():

@@ -7,6 +7,7 @@ from qshare.measures import Decomposition, pure_entanglement
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
+    _VERTEX_MARGIN,
     OptimizationConfig,
     _finish,
     _lbfgs,
@@ -329,10 +330,37 @@ class TestAverageEntanglement:
 
 
 class TestMaximizePairEof:
-    def test_trace_contains_best(self):
-        scan = maximize_pair_eof(FAST, grid_step=0.5)
+    @pytest.mark.parametrize("grid_step", [0.02, 0.05, 0.1, 0.25, 0.5])
+    def test_trace_contains_best(self, grid_step):
+        # From a = 1/2 the bisection must follow the lower crossing: the upper
+        # one peaks at a = 0.539 with E = 1.99384.
+        scan = maximize_pair_eof(FAST, grid_step=grid_step)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star == max(values)
+        assert abs(scan.a_star - 0.461) <= 0.005
+        assert abs(scan.e_star - 1.9944) <= 5e-4
+
+    @pytest.mark.parametrize(("a", "seed"), [(0.4609, 0), (0.43045, 123)])
+    def test_vertex_side_needs_a_margin(self, a, seed):
+        # These solves end at a basis vertex, yet report a value just below
+        # V(a), so an exact comparison would put them on the mixed side.
+        result = min_span_entanglement(a, OptimizationConfig(restarts=40, seed=seed))
+        assert np.max(np.abs(result.argmin)) ** 2 > 1.0 - 1e-9
+        assert 0.0 < _vertex_entanglement(ResidueFamily.from_a(a)) - result.value < _VERTEX_MARGIN
+
+    def test_default_grid_refines_with_six_bisection_points(self):
+        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
+        grid = set(np.linspace(0.0, 1.0, 201).tolist())
+        grid_part = [(a, v) for a, v in scan.scan_trace if a in grid]
+        refinement = scan.scan_trace[len(grid_part) :]
+        assert list(scan.scan_trace[: len(grid_part)]) == grid_part
+        peak = max(grid_part, key=lambda s: (s[1], -s[0]))[0]
+        assert len(refinement) == 6
+        assert all(peak - 0.005 < a < peak + 0.005 for a, _ in refinement)
+        vertex_side = [
+            a for a, v in scan.scan_trace if v >= _vertex_entanglement(ResidueFamily.from_a(a)) - _VERTEX_MARGIN
+        ]
+        assert abs(scan.a_star - vertex_side[-1]) <= 1e-4
 
     def test_pruning_matches_exhaustive_scan(self):
         grid = np.linspace(0.0, 1.0, 51).tolist()
@@ -358,6 +386,8 @@ class TestMaximizePairEof:
             maximize_pair_eof(FAST, grid_step=0.6)
         with pytest.raises(ValueError):
             maximize_pair_eof(FAST, grid_step=0.0)
+        with pytest.raises(ValueError):
+            maximize_pair_eof(FAST, grid_step=0.3)
 
     def test_certifies_the_peak(self, monkeypatch):
         monkeypatch.setattr("qshare.optimize.orbit_decomposition", uniform_orbit)
