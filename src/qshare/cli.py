@@ -41,7 +41,7 @@ def _resolve_seed(args):
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     return 0
 
 
@@ -50,10 +50,6 @@ def _config_from_args(args):
     if restarts is None:
         restarts = _DEFAULT_RESTARTS.get(args.command, 200)
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
-
-
-def _complex_pairs(values):
-    return [[float(z.real), float(z.imag)] for z in values]
 
 
 def run_table(args) -> dict:
@@ -139,7 +135,7 @@ def run_family(args) -> dict:
         "results": {
             "b": family.b,
             "min_entanglement": result.value,
-            "argmin": _complex_pairs(result.argmin),
+            "argmin": [[float(c), 0.0] for c in result.argmin],  # schema 1 keeps [re, im] pairs
             "restart_index": result.restart_index,
             "iterations_used": result.iterations_used,
             "nontrivial_minimizer": result.nontrivial_minimizer,
@@ -225,8 +221,6 @@ def _emit(report, fmt) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "csv":
-        if report["command"] != "table":
-            raise SystemExit("csv output is only available for the table command")
         return _render_csv(report)
     return _render_text(report)
 
@@ -266,7 +260,10 @@ _RUNNERS = {"table": run_table, "singlet": run_singlet, "family": run_family, "v
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "table":
+        parser.error("csv output is only available for the table command")
     try:
         report = _RUNNERS[args.command](args)
     except (ValueError, RuntimeError) as exc:

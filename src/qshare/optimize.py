@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import SPECTRUM_CLIP
 from .measures import Decomposition, pure_entanglement, shannon_entropy
-from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
+from .states import MODULUS, ResidueFamily, orbit_decomposition
 
 __all__ = [
     "PAIR_DIMS",
@@ -60,8 +60,8 @@ _ARMIJO = 1e-4
 class OptimizationConfig:
     """Multistart settings.
 
-    Restart i starts from a random unit vector drawn from its own stream,
-    ``np.random.default_rng([seed, i])``: a start depends on neither
+    Restart i starts from a random real unit 7-vector drawn from its own
+    stream, ``np.random.default_rng([seed, i])``: a start depends on neither
     ``restarts`` nor the other restarts, and different seeds share no start.
     A restart converges when an accepted step lowers the value by at most
     ``value_tolerance`` (relative to max(|f|, 1)), when its step is at most
@@ -93,10 +93,11 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best local minimum found over all restarts.
 
-    ``value`` is the entanglement at the gauged ``argmin`` and never exceeds
-    any entry of ``restart_values``.  No entry exceeds the closed-form value
-    of a basis vertex: a restart that ends above it is replaced by its
-    nearest vertex.  Restarts that did not converge are
+    ``argmin`` is a real unit 7-vector whose first coefficient above 1e-12
+    in magnitude is positive.  ``value`` is the entanglement there and never
+    exceeds any entry of ``restart_values``.  No entry exceeds the
+    closed-form value of a basis vertex: a restart that ends above it is
+    replaced by its nearest vertex.  Restarts that did not converge are
     listed in ``failed_restarts`` but still contribute their best point.
     ``nontrivial_minimizer`` records whether any near-best restart ended away
     from a basis vertex.
@@ -141,25 +142,26 @@ def _vertex_entanglement(family: ResidueFamily) -> float:
 
 
 class _SpanObjective:
-    """Pair entanglement as a function of 14 real span coordinates.
+    """Pair entanglement as a function of the 7 real span coefficients.
 
-    The first seven coordinates are the real parts of the coefficients and
-    the last seven the imaginary parts.  The value is invariant under scaling,
-    so the unit-norm constraint never needs explicit projection.
+    Every pair state is real, so conj(c) gives the conjugate marginal with
+    the same spectrum, and at a real point no imaginary direction has a
+    gradient: the search keeps to the real span.  The value is scale-invariant,
+    so the unit norm never needs explicit projection.
     """
 
     def __init__(self, family: ResidueFamily):
-        # Pair state j reshaped to the 7x7 amplitude matrix across the cut.
-        self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
+        # Pair state j reshaped to the real 7x7 amplitude matrix across the cut.
+        self.basis_mats = family.pair_basis().real.reshape(MODULUS, MODULUS, MODULUS)
         self.vertex_value = _vertex_entanglement(family)
 
     def entanglement(self, coeffs):
-        """Entanglement (R,) at each row of unit-norm complex coefficients (R, 7)."""
+        """Entanglement (R,) at each row of unit-norm real coefficients (R, 7)."""
         m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
-        return shannon_entropy(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)))
+        return shannon_entropy(np.linalg.eigvalsh(m @ m.transpose(0, 2, 1)))
 
     def value_and_grad(self, x):
-        """Values (R,) and gradients (R, 14) at the rows of ``x`` (R, 14).
+        """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7).
 
         Every row is computed by the same operations whatever the other rows
         are, so a row's result does not depend on the batch it is in.
@@ -172,18 +174,15 @@ class _SpanObjective:
         usable = finite & ~zero
         x = np.where(usable[:, None], x, 0.0)
         n2 = np.where(usable, n2, 1.0)
-        v = x[:, :MODULUS] + 1j * x[:, MODULUS:]
-        m = np.einsum("rj,jab->rab", v, self.basis_mats)
-        m_h = m.conj().transpose(0, 2, 1)
-        w, p = np.linalg.eigh((m @ m_h) / n2[:, None, None])
+        m = np.einsum("rj,jab->rab", x, self.basis_mats)
+        w, p = np.linalg.eigh((m @ m.transpose(0, 2, 1)) / n2[:, None, None])
         w = np.clip(w, 0.0, None)
         f = shannon_entropy(w)
         # dE = -Tr(log2(rho) drho); the spectral log uses the clipped spectrum.
         log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
-        lmat = (p * log_w[:, None, :]) @ p.conj().transpose(0, 2, 1)
-        g = np.einsum("jab,rba->rj", self.basis_mats, m_h @ lmat)
-        scale = 2.0 / n2[:, None]
-        grad = np.concatenate([-scale * g.real, scale * g.imag], axis=1) - (scale * f[:, None]) * x
+        lmat = (p * log_w[:, None, :]) @ p.transpose(0, 2, 1)
+        g = np.einsum("jab,rab->rj", self.basis_mats, lmat @ m)
+        grad = -(2.0 / n2[:, None]) * (g + f[:, None] * x)
         f[zero] = 3.0
         f[~finite] = np.nan
         grad[~usable] = 0.0
@@ -307,23 +306,24 @@ def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
 
 
 def _starts(config: OptimizationConfig):
-    """Unit starting points (restarts, 14); row i comes from stream [seed, i]."""
-    x0 = np.array(
-        [np.random.default_rng([config.seed, i]).standard_normal(2 * MODULUS) for i in range(config.restarts)]
-    )
+    """Unit starting points (restarts, 7); row i draws 7 normals from stream [seed, i]."""
+    x0 = np.array([np.random.default_rng([config.seed, i]).standard_normal(MODULUS) for i in range(config.restarts)])
     return x0 / np.linalg.norm(x0, axis=1, keepdims=True)
 
 
 def _finish(objective: _SpanObjective, x):
-    """Gauge-fixed coefficients (R, 7) and values (R,) at the restarts' final points.
+    """Unit coefficients (R, 7) and values (R,) at the restarts' final points.
 
-    A point that cannot be normalized gets NaN coefficients and value +inf.
+    Each row is normalized and its sign fixed so that its first coefficient
+    above 1e-12 in magnitude is positive.  A point that cannot be normalized
+    gets NaN coefficients and value +inf.
     """
-    v = x[:, :MODULUS] + 1j * x[:, MODULUS:]
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.linalg.norm(x, axis=1)
     usable = np.isfinite(norms) & (norms >= 1e-9)
-    coeffs = np.full(v.shape, np.nan, dtype=complex)
-    coeffs[usable] = np.array([gauge_fix(row / n) for row, n in zip(v[usable], norms[usable])]).reshape(-1, MODULUS)
+    coeffs = np.full(x.shape, np.nan)
+    coeffs[usable] = x[usable] / norms[usable, None]
+    lead = np.argmax(np.abs(coeffs) > 1e-12, axis=1)
+    coeffs *= np.copysign(1.0, coeffs[np.arange(len(x)), lead])[:, None]
     values = np.full(len(x), np.inf)
     values[usable] = objective.entanglement(coeffs[usable])
     # Every basis vertex is feasible at the closed-form vertex value, so a
@@ -332,7 +332,7 @@ def _finish(objective: _SpanObjective, x):
     # vertex.  No solve then reports more than the vertex value.
     peaks = np.argmax(np.abs(coeffs), axis=1)
     snap = usable & (values > objective.vertex_value)
-    coeffs[snap] = np.eye(MODULUS, dtype=complex)[peaks[snap]]
+    coeffs[snap] = np.eye(MODULUS)[peaks[snap]]
     values[snap] = objective.vertex_value
     return coeffs, values
 

@@ -88,9 +88,29 @@ def test_table_csv_header(capsys):
     assert first[0] == "2" and first[-1] == "known-bound"
 
 
-def test_csv_rejected_outside_table(capsys):
-    with pytest.raises(SystemExit):
-        main(["singlet", "--d", "3", "--format", "csv"])
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("solved before rejecting the input")
+
+
+def test_csv_rejected_outside_table(capsys, monkeypatch):
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
+    for argv in (["singlet", "--d", "3"], ["family", "--restarts", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "csv output is only available for the table command" in captured.err
+
+
+def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
+    monkeypatch.setenv("QSHARE_SEED", "abc")
+    code = main(["family", "--restarts", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: QSHARE_SEED must be an integer, got 'abc'\n"
 
 
 def test_table_text_uses_four_decimals(capsys):
@@ -129,6 +149,16 @@ def test_family_json(capsys):
     assert report["residuals"]["decomposition_average_gap"] < 1e-8
     assert len(report["results"]["argmin"]) == 7
     assert json.loads(json.dumps(report)) == report
+
+
+def test_family_argmin_is_real(capsys):
+    code, out = run_cli(capsys, ["family", "--a", "0.5", "--restarts", "40", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["nontrivial_minimizer"]
+    assert all(im == 0.0 for _, im in report["results"]["argmin"])
+    assert report["residuals"]["decomposition_reconstruction"] < 1e-10
+    assert report["residuals"]["decomposition_average_gap"] <= 1e-8
 
 
 def test_seed_env_var_used_when_flag_absent(capsys, monkeypatch):

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qshare.measures import Decomposition, pure_entanglement
+from qshare.linalg import SPECTRUM_CLIP
+from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
@@ -20,7 +21,7 @@ from qshare.optimize import (
     pair_eof,
     span_entanglement,
 )
-from qshare.states import ResidueFamily, gauge_fix, orbit_decomposition
+from qshare.states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 FAST = OptimizationConfig(restarts=20, seed=0)
 
@@ -47,6 +48,59 @@ def rotated_orbit(coeffs, family):
     dec = orbit_decomposition(coeffs, family)
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
     return Decomposition(dec.weights, dec.states @ np.kron(q, np.eye(7)).T)
+
+
+# The complex problem over all 14 real coordinates of the span coefficients,
+# kept as an oracle: the optimizer's search of the real span must lose
+# nothing against it.
+class ComplexSpanObjective:
+    """Pair entanglement as a function of 14 real span coordinates.
+
+    The first seven coordinates are the real parts of the coefficients and
+    the last seven the imaginary parts.  The value is invariant under scaling,
+    so the unit-norm constraint never needs explicit projection.
+    """
+
+    def __init__(self, family: ResidueFamily):
+        # Pair state j reshaped to the 7x7 amplitude matrix across the cut.
+        self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
+        self.vertex_value = _vertex_entanglement(family)
+
+    def entanglement(self, coeffs):
+        """Entanglement (R,) at each row of unit-norm complex coefficients (R, 7)."""
+        m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
+        return shannon_entropy(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)))
+
+    def value_and_grad(self, x):
+        """Values (R,) and gradients (R, 14) at the rows of ``x`` (R, 14).
+
+        Every row is computed by the same operations whatever the other rows
+        are, so a row's result does not depend on the batch it is in.
+        """
+        n2 = np.einsum("ri,ri->r", x, x)
+        # Scale-free objective; a zero row (unreachable in practice from unit
+        # starts) gets a value above every feasible one, a non-finite row NaN.
+        zero = n2 < 1e-18
+        finite = np.isfinite(n2)
+        usable = finite & ~zero
+        x = np.where(usable[:, None], x, 0.0)
+        n2 = np.where(usable, n2, 1.0)
+        v = x[:, :MODULUS] + 1j * x[:, MODULUS:]
+        m = np.einsum("rj,jab->rab", v, self.basis_mats)
+        m_h = m.conj().transpose(0, 2, 1)
+        w, p = np.linalg.eigh((m @ m_h) / n2[:, None, None])
+        w = np.clip(w, 0.0, None)
+        f = shannon_entropy(w)
+        # dE = -Tr(log2(rho) drho); the spectral log uses the clipped spectrum.
+        log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
+        lmat = (p * log_w[:, None, :]) @ p.conj().transpose(0, 2, 1)
+        g = np.einsum("jab,rba->rj", self.basis_mats, m_h @ lmat)
+        scale = 2.0 / n2[:, None]
+        grad = np.concatenate([-scale * g.real, scale * g.imag], axis=1) - (scale * f[:, None]) * x
+        f[zero] = 3.0
+        f[~finite] = np.nan
+        grad[~usable] = 0.0
+        return f, grad
 
 
 class TestConfig:
@@ -95,10 +149,10 @@ class TestObjectiveGradient:
         for a in (0.3, 0.5, 0.461):
             objective = _SpanObjective(ResidueFamily.from_a(a))
             for _ in range(5):
-                x = rng.standard_normal(14)
+                x = rng.standard_normal(7)
                 x /= np.linalg.norm(x)
                 _, grad = objective.value_and_grad(x[None])
-                for i in rng.choice(14, size=5, replace=False):
+                for i in rng.choice(7, size=5, replace=False):
                     probe = x.copy()
                     probe[i] += step
                     up, _ = objective.value_and_grad(probe[None])
@@ -110,13 +164,13 @@ class TestObjectiveGradient:
     def test_scale_invariance(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.461))
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(14)
+        x = rng.standard_normal(7)
         f, _ = objective.value_and_grad(np.array([x, 2.5 * x]))
         assert f[0] == pytest.approx(f[1], abs=1e-12)
 
     def test_rows_do_not_depend_on_the_batch(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.5))
-        x = np.random.default_rng(4).standard_normal((40, 14))
+        x = np.random.default_rng(4).standard_normal((40, 7))
         f, grad = objective.value_and_grad(x)
         for lo, hi in [(i, i + 1) for i in range(40)] + [(0, 2), (3, 6), (5, 12), (1, 28), (13, 40)]:
             f_part, grad_part = objective.value_and_grad(x[lo:hi])
@@ -150,9 +204,9 @@ class TestRestarts:
     def test_restart_at_a_minimizer_converges(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.461))
         argmin = min_span_entanglement(0.461, FAST).argmin
-        vertex = np.zeros(14)
+        vertex = np.zeros(7)
         vertex[3] = 1.0
-        starts = np.array([vertex, np.concatenate([argmin.real, argmin.imag])])
+        starts = np.array([vertex, argmin])
         start_values, _ = objective.value_and_grad(starts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -172,7 +226,7 @@ class TestRestarts:
         # At the basis vertex e_3 the gradient is round-off along x itself; a
         # unit step there would land on 2 e_3 at an unchanged value.
         objective = _SpanObjective(ResidueFamily.from_a(0.461))
-        vertex = np.zeros((1, 14))
+        vertex = np.zeros((1, 7))
         vertex[0, 3] = 1.0
         _, grad = objective.value_and_grad(vertex)
         assert 0.0 < np.linalg.norm(grad) < 1e-14
@@ -208,6 +262,38 @@ class TestRestarts:
         _, values = _finish(objective, np.array([res.x for res in runs]))
         oracle = values.min()
         assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=FAST.value_tolerance)
+
+
+class TestComplexOracle:
+    @pytest.mark.parametrize("a", [0.3, 0.461, 0.5, 0.53, 0.75])
+    def test_real_minimum_matches_complex_search(self, a):
+        config = OptimizationConfig(restarts=40, seed=0)
+        objective = ComplexSpanObjective(ResidueFamily.from_a(a))
+        starts = np.random.default_rng(0).standard_normal((config.restarts, 14))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        x, _, _ = _lbfgs(objective, starts, config)
+        values, _ = objective.value_and_grad(x)
+        oracle = np.minimum(values, objective.vertex_value).min()
+        assert min_span_entanglement(a, config).value == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [0.47, 0.5, 0.53])
+    def test_real_minimizer_is_a_complex_local_minimum(self, a):
+        result = min_span_entanglement(a, OptimizationConfig(restarts=40, seed=0))
+        assert result.nontrivial_minimizer
+        objective = ComplexSpanObjective(ResidueFamily.from_a(a))
+        x = np.concatenate([result.argmin, np.zeros(7)])
+        _, grad = objective.value_and_grad(x[None])
+        assert np.all(grad[0, 7:] == 0.0)
+        # Imaginary-direction Hessian by central differences of the gradient.
+        step = 1e-5
+        imaginary = np.eye(14)[7:]
+        _, up = objective.value_and_grad(x + step * imaginary)
+        _, down = objective.value_and_grad(x - step * imaginary)
+        hessian = (up[:, 7:] - down[:, 7:]) / (2 * step)
+        curvatures = np.linalg.eigvalsh((hessian + hessian.T) / 2)
+        # One flat direction, the global phase; every other one curves up.
+        assert abs(curvatures[0]) < 1e-6
+        assert curvatures[1] >= 0.1
 
 
 class TestMinSpanEntanglement:
