@@ -246,8 +246,7 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
             coeffs = _random_coeffs(rng)
             dec = orbit_decomposition(coeffs, fam_a)
             recon_dev = max(recon_dev, float(np.max(np.abs(dec.mixture() - target))))
-            energies = [pure_entanglement(s, PAIR_DIMS, PAIR_CUT) for s in dec.states]
-            spread = max(spread, max(energies) - min(energies))
+            spread = max(spread, float(np.ptp(pure_entanglement(dec.states, PAIR_DIMS, PAIR_CUT))))
     out.append(_result("orbit decompositions rebuild the pair density", recon_dev, 1e-10))
     out.append(_result("orbit elements share one entanglement", spread, 1e-10))
     return out
@@ -339,7 +338,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     fam = ResidueFamily.from_a(0.5)
     dec = orbit_decomposition(coeffs, fam)
     seed_value = span_entanglement(coeffs, 0.5)
-    orbit_dev = max(abs(pure_entanglement(s, PAIR_DIMS, PAIR_CUT) - seed_value) for s in dec.states)
+    orbit_dev = float(np.max(np.abs(pure_entanglement(dec.states, PAIR_DIMS, PAIR_CUT) - seed_value)))
     out.append(_result("orbit images keep the seed's entanglement", orbit_dev, 1e-10))
 
     # Endpoint evaluations, including the constructive decomposition check.

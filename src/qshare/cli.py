@@ -239,20 +239,24 @@ def _exit_code(report, strict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshare", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json", "csv"], default="text")
     common.add_argument("--seed", type=int, default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
     common.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
     common.add_argument("--tol", type=float, default=1e-10, help="Werner detection tolerance")
     common.add_argument("--strict", action="store_true", help="escalate warnings to a nonzero exit")
+    # Only table offers csv.  Parents share their action objects, so resolving a
+    # --format inherited from `common` in table would remove it everywhere.
+    no_csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    no_csv.add_argument("--format", choices=["text", "json"], default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
     table = sub.add_parser("table", parents=[common], help="sharing bounds for three particles at d = 2, 3, 7")
+    table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     table.add_argument("--grid-step", type=float, default=0.005, help="coarse step of the aligned-weight scan")
-    singlet = sub.add_parser("singlet", parents=[common], help="pair marginal of the d-particle collective singlet")
+    singlet = sub.add_parser("singlet", parents=[no_csv], help="pair marginal of the d-particle collective singlet")
     singlet.add_argument("--d", type=int, default=3, help="particle count and level count")
-    family = sub.add_parser("family", parents=[common], help="three-particle family at one aligned weight")
+    family = sub.add_parser("family", parents=[no_csv], help="three-particle family at one aligned weight")
     family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
-    sub.add_parser("verify", parents=[common], help="run the self-verification suite")
+    sub.add_parser("verify", parents=[no_csv], help="run the self-verification suite")
     return parser
 
 
@@ -262,8 +266,6 @@ _RUNNERS = {"table": run_table, "singlet": run_singlet, "family": run_family, "v
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "table":
-        parser.error("csv output is only available for the table command")
     try:
         report = _RUNNERS[args.command](args)
     except (ValueError, RuntimeError) as exc:

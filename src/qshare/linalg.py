@@ -48,26 +48,26 @@ def _subsystems(keep, n, name="keep"):
 
 
 def check_pure_state(psi, dims, *, atol=1e-10, name="state"):
-    """Validate a flat amplitude vector against subsystem dimensions.
+    """Validate a flat amplitude vector, or a 2-D stack of them as rows.
 
-    Returns the amplitudes as a complex array together with the dimension
-    tuple.  Rejects wrong lengths, non-finite entries, and vectors whose
-    Euclidean norm deviates from 1 by more than ``atol``.
+    Returns the amplitudes as a complex array of the input's shape together
+    with the dimension tuple.  Rejects wrong lengths, non-finite entries, and
+    any vector whose Euclidean norm deviates from 1 by more than ``atol``.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"{name} must be a flat amplitude vector")
+    if psi.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a flat amplitude vector or a stack of them as rows")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
     total = math.prod(dims)
-    if psi.size != total:
-        raise ValueError(f"{name} has {psi.size} amplitudes, expected {total} for dims {dims}")
+    if psi.shape[-1] != total:
+        raise ValueError(f"{name} has {psi.shape[-1]} amplitudes, expected {total} for dims {dims}")
     if not np.all(np.isfinite(psi)):
         raise ValueError(f"{name} contains non-finite amplitudes")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if np.any(norm_dev > atol):
+        raise ValueError(f"{name} is not normalized: |norm - 1| = {np.max(norm_dev):.3e}")
     return psi, dims
 
 
@@ -135,6 +135,8 @@ def reduced_density_matrix(psi, dims, keep):
     O(dim * kept_dim) memory, which matters for the larger collective states.
     """
     psi, dims = check_pure_state(psi, dims)
+    if psi.ndim != 1:
+        raise ValueError("state must be a flat amplitude vector")
     keep = _subsystems(keep, len(dims))
     traced = [k for k in range(len(dims)) if k not in keep]
     t = psi.reshape(dims)
@@ -164,20 +166,18 @@ def hermitian_eigensystem(h, *, atol=1e-10):
 def schmidt_spectrum(psi, dims, cut):
     """Squared Schmidt coefficients of a pure state across a bipartition.
 
-    ``cut`` lists the subsystem indices of one side.  The spectrum is computed
-    from the smaller side's reduced density matrix, returned in descending
-    order (zeros included up to the smaller side's dimension) and sums to 1.
+    ``cut`` lists the subsystem indices of one side.  The spectrum is the
+    squared singular values of the (cut side) x (other side) amplitude matrix:
+    min(d_cut, d_other) entries, descending, those below ``SPECTRUM_CLIP`` set
+    to 0.  A 2-D stack of states as rows gives one spectrum per row.
     """
     psi, dims = check_pure_state(psi, dims)
     cut = _subsystems(cut, len(dims), name="cut")
     if len(cut) == len(dims):
         raise ValueError("cut must leave at least one subsystem on each side")
     other = tuple(k for k in range(len(dims)) if k not in cut)
-    dim_cut = math.prod(dims[k] for k in cut)
-    dim_other = math.prod(dims[k] for k in other)
-    side = cut if dim_cut <= dim_other else other
-    rho = reduced_density_matrix(psi, dims, side)
-    w = np.linalg.eigvalsh(rho)[::-1].copy()
-    w = np.clip(w, 0.0, None)
+    rows = psi.reshape((-1,) + dims).transpose((0,) + tuple(1 + k for k in cut + other))
+    m = rows.reshape(len(rows), math.prod(dims[k] for k in cut), -1)
+    w = np.linalg.svd(m, compute_uv=False) ** 2
     w[w < SPECTRUM_CLIP] = 0.0
-    return w
+    return w if psi.ndim == 2 else w[0]

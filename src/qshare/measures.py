@@ -88,14 +88,16 @@ def eof_from_concurrence(c) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
-def pure_entanglement(psi, dims, cut) -> float:
-    """Entropy of either reduced state of a pure state across ``cut``, in bits."""
+def pure_entanglement(psi, dims, cut):
+    """Entropy of either reduced state across ``cut`` in bits, per row for a stack of states."""
     return shannon_entropy(schmidt_spectrum(psi, dims, cut))
 
 
 def qubit_concurrence_pure(psi) -> float:
     """Concurrence of a two-qubit pure state: twice the root of det(rho_A)."""
     psi, _ = check_pure_state(psi, (2, 2))
+    if psi.ndim != 1:
+        raise ValueError("state must be a flat amplitude vector")
     m = psi.reshape(2, 2)
     rho_a = m @ m.conj().T
     det = float(np.linalg.det(rho_a).real)
@@ -202,7 +204,7 @@ class Decomposition:
     """Weighted pure states realizing a density matrix.
 
     ``weights`` are positive and sum to 1; ``states`` holds one unit-norm
-    amplitude row per element.
+    amplitude row per element, validated by ``check_pure_state``.
     """
 
     weights: np.ndarray
@@ -213,22 +215,16 @@ class Decomposition:
         states = np.asarray(self.states, dtype=complex)
         if weights.ndim != 1 or states.ndim != 2 or weights.size != states.shape[0]:
             raise ValueError("need one weight per state row")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
-        norms = np.linalg.norm(states, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("every element state must be unit norm")
+        check_pure_state(states, states.shape[1:], name="element state")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
 
     def __len__(self):
         return self.weights.size
-
-    @property
-    def dim(self):
-        return self.states.shape[1]
 
     def mixture(self) -> np.ndarray:
         """Density matrix sum_j w_j |phi_j><phi_j| realized by the elements."""

@@ -379,12 +379,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
 
 def average_entanglement(decomposition: Decomposition, dims, cut) -> float:
     """Weighted mean pure-state entanglement; upper-bounds the mixture's E_f."""
-    return float(
-        sum(
-            w * pure_entanglement(state, dims, cut)
-            for w, state in zip(decomposition.weights, decomposition.states)
-        )
-    )
+    return float(decomposition.weights @ pure_entanglement(decomposition.states, dims, cut))
 
 
 def orbit_certificate(result: OptimizationResult, a) -> tuple[float, float]:

@@ -242,6 +242,8 @@ def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
 def cyclic_permute(psi, dims):
     """Relabel three equal particles cyclically: |i,j,k> amplitude moves to |k,i,j>."""
     psi, dims = check_pure_state(psi, dims)
+    if psi.ndim != 1:
+        raise ValueError("state must be a flat amplitude vector")
     if len(dims) != 3 or len(set(dims)) != 1:
         raise ValueError(f"need three equal-dimension particles, got dims {dims}")
     d = dims[0]

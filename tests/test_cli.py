@@ -100,7 +100,9 @@ def test_csv_rejected_outside_table(capsys, monkeypatch):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "csv output is only available for the table command" in captured.err
+        # The usage line is the subcommand's, which shows the --format choices.
+        assert captured.err.startswith(f"usage: qshare {argv[0]} ")
+        assert "argument --format: invalid choice: 'csv'" in captured.err
 
 
 def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from qshare.linalg import (
+    check_pure_state,
     hermitian_eigensystem,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,
     swap_operator,
 )
+from qshare.measures import pure_entanglement, qubit_concurrence_pure
+from qshare.states import cyclic_permute
 
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -134,3 +139,48 @@ def test_schmidt_spectrum_sums_to_one_and_matches_both_sides():
         assert abs(right.sum() - 1.0) < 1e-10
         k = min(left.size, right.size)
         assert np.max(np.abs(left[:k] - right[:k])) < 1e-10
+
+
+STACK_CASES = [((7, 7), (0,)), ((2, 3, 4), (0, 2)), ((3, 5), (1,))]
+
+
+def random_stack(rng, rows, dim):
+    z = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dims, cut", STACK_CASES)
+def test_stacked_spectra_equal_per_row_calls(dims, cut):
+    stack = random_stack(np.random.default_rng(31), 49, math.prod(dims))
+    spectra = schmidt_spectrum(stack, dims, cut)
+    assert np.array_equal(spectra, np.array([schmidt_spectrum(psi, dims, cut) for psi in stack]))
+    entanglements = pure_entanglement(stack, dims, cut)
+    assert np.array_equal(entanglements, np.array([pure_entanglement(psi, dims, cut) for psi in stack]))
+
+
+@pytest.mark.parametrize("dims, cut", STACK_CASES)
+def test_stack_with_one_bad_row_is_rejected(dims, cut):
+    stack = random_stack(np.random.default_rng(37), 5, math.prod(dims))
+    off_norm = stack.copy()
+    off_norm[3] *= 1.0 + 1e-6
+    nan_row = stack.copy()
+    nan_row[2, 0] = np.nan
+    for bad in (off_norm, nan_row):
+        with pytest.raises(ValueError):
+            check_pure_state(bad, dims)
+        with pytest.raises(ValueError):
+            schmidt_spectrum(bad, dims, cut)
+
+
+def test_single_state_functions_reject_a_stack():
+    # A one-row stack has the right number of amplitudes, so only the shape
+    # tells it apart from a flat state.
+    cases = [
+        (lambda psi: reduced_density_matrix(psi, (2, 2), (0,)), SINGLET2),
+        (qubit_concurrence_pure, SINGLET2),
+        (lambda psi: cyclic_permute(psi, (2, 2, 2)), np.eye(8)[0]),
+    ]
+    for single, psi in cases:
+        single(psi)
+        with pytest.raises(ValueError, match="flat amplitude vector"):
+            single(psi[None, :])

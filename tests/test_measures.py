@@ -298,3 +298,11 @@ class TestDecomposition:
     def test_rejects_unnormalized_states(self):
         with pytest.raises(ValueError):
             Decomposition(weights=np.array([1.0]), states=np.array([[1.0, 1.0, 0.0, 0.0]]))
+
+    def test_rejects_non_finite_states_and_weights(self):
+        # A NaN norm or weight compares False against every bound, so the
+        # checks must be phrased to fail on it.
+        with pytest.raises(ValueError):
+            Decomposition(weights=[0.5, 0.5], states=[[np.nan, 0, 0, 0], [1, 0, 0, 0]])
+        with pytest.raises(ValueError):
+            Decomposition(weights=[np.nan, 1.0], states=[[0, 1, 0, 0], [1, 0, 0, 0]])

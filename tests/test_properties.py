@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qshare.linalg import partial_trace, reduced_density_matrix, swap_operator
+from qshare.linalg import partial_trace, reduced_density_matrix, schmidt_spectrum, swap_operator
 from qshare.measures import werner_fit
 from qshare.optimize import span_entanglement
 
@@ -52,6 +52,17 @@ def test_reduced_density_matrix_matches_partial_trace(case):
     psi, dims, keep = case
     projector = np.outer(psi, psi.conj())
     assert np.allclose(reduced_density_matrix(psi, dims, keep), partial_trace(projector, dims, keep), atol=1e-12)
+
+
+@given(case=pure_states_with_kept_parts())
+def test_schmidt_spectrum_matches_the_partial_trace_spectrum(case):
+    # The SVD route and the projector-plus-partial-trace route share no code.
+    psi, dims, cut = case
+    assume(len(cut) < len(dims))
+    spectrum = schmidt_spectrum(psi, dims, cut)
+    marginal = np.linalg.eigvalsh(partial_trace(np.outer(psi, psi.conj()), dims, cut))[::-1]
+    assert np.allclose(spectrum, marginal[: spectrum.size], rtol=0.0, atol=1e-12)
+    assert np.allclose(marginal[spectrum.size :], 0.0, rtol=0.0, atol=1e-12)
 
 
 @given(d=st.integers(2, 5), p=unit_interval)
