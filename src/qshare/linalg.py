@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "SPECTRUM_CLIP",
+    "PSD_TOLERANCE",
     "swap_operator",
     "partial_trace",
     "reduced_density_matrix",
@@ -26,6 +27,11 @@ __all__ = [
 # Eigenvalues below this are treated as exact zeros before any logarithm,
 # so round-off negatives never reach a log.
 SPECTRUM_CLIP = 1e-12
+
+# A density matrix may show a lowest eigenvalue down to -PSD_TOLERANCE and
+# still count as positive semidefinite: exactly singular states come out of
+# round-off with small negative eigenvalues.
+PSD_TOLERANCE = 1e-10
 
 
 def _as_square_matrix(m, name="matrix"):
@@ -71,13 +77,18 @@ def check_pure_state(psi, dims, *, atol=1e-10, name="state"):
     return psi, dims
 
 
-def check_density_matrix(rho, dim=None, *, atol=1e-10, psd=True, name="rho"):
-    """Validate Hermiticity, unit trace and (optionally) positivity.
+def check_density_matrix(rho, dim=None, *, atol=1e-10, name="rho"):
+    """Validate Hermiticity, unit trace and positivity.
 
-    ``psd`` costs an eigendecomposition, so callers on hot paths may skip it.
+    Positivity is certified by a Cholesky factorization of
+    rho + (PSD_TOLERANCE / 2) I, which succeeds only when the lowest
+    eigenvalue is at least -PSD_TOLERANCE / 2 up to round-off; a real rho is
+    factored in real arithmetic.  Only when the factorization fails does the
+    lowest eigenvalue decide, against -PSD_TOLERANCE.
     """
     rho = _as_square_matrix(rho, name)
-    if dim is not None and rho.shape[0] != int(dim):
+    n = rho.shape[0]
+    if dim is not None and n != int(dim):
         raise ValueError(f"{name} must be {dim} x {dim}, got shape {rho.shape}")
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_dev > atol:
@@ -85,10 +96,14 @@ def check_density_matrix(rho, dim=None, *, atol=1e-10, psd=True, name="rho"):
     trace_dev = abs(np.trace(rho) - 1.0)
     if trace_dev > atol:
         raise ValueError(f"{name} does not have unit trace: deviation {trace_dev:.3e}")
-    if psd:
+    shifted = rho.copy() if np.any(rho.imag) else rho.real.copy()
+    shifted.flat[:: n + 1] += PSD_TOLERANCE / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
         lowest = float(np.linalg.eigvalsh(rho)[0])
-        if lowest < -1e-10:
-            raise ValueError(f"{name} has a negative eigenvalue {lowest:.3e}")
+        if lowest < -PSD_TOLERANCE:
+            raise ValueError(f"{name} has a negative eigenvalue {lowest:.3e}") from None
     return rho
 
 

@@ -228,4 +228,4 @@ class Decomposition:
 
     def mixture(self) -> np.ndarray:
         """Density matrix sum_j w_j |phi_j><phi_j| realized by the elements."""
-        return np.einsum("j,ja,jb->ab", self.weights, self.states, self.states.conj())
+        return (self.states.T * self.weights) @ self.states.conj()

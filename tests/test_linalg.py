@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qshare.linalg import (
+    PSD_TOLERANCE,
+    check_density_matrix,
     check_pure_state,
     hermitian_eigensystem,
     partial_trace,
@@ -12,7 +14,7 @@ from qshare.linalg import (
     swap_operator,
 )
 from qshare.measures import pure_entanglement, qubit_concurrence_pure
-from qshare.states import cyclic_permute
+from qshare.states import cyclic_permute, singlet_pair_reduced
 
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -184,3 +186,64 @@ def test_single_state_functions_reject_a_stack():
         single(psi)
         with pytest.raises(ValueError, match="flat amplitude vector"):
             single(psi[None, :])
+
+
+def planted_density(rng, n, lowest, complex_entries=False):
+    """Random n x n density matrix whose lowest eigenvalue is ``lowest``."""
+    z = rng.standard_normal((n, n))
+    if complex_entries:
+        z = z + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    w = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    rho = (q * w) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_density_check_accepts_singlet_marginals(d):
+    # (I - F) / (d(d-1)) has d(d+1)/2 exactly zero eigenvalues.
+    rho = singlet_pair_reduced(d)
+    assert np.array_equal(check_density_matrix(rho, d * d), rho)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", [4, 49])
+@pytest.mark.parametrize("lowest", [-0.3e-10, -0.7e-10])
+def test_density_check_accepts_small_negative_eigenvalues(lowest, n, complex_entries):
+    rho = planted_density(np.random.default_rng(n), n, lowest, complex_entries)
+    assert bool(np.any(rho.imag)) == complex_entries
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(lowest, rel=1e-4)
+    check_density_matrix(rho, n)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", [4, 49])
+def test_density_check_rejects_a_negative_eigenvalue(n, complex_entries):
+    rho = planted_density(np.random.default_rng(n), n, -1.3e-10, complex_entries)
+    with pytest.raises(ValueError, match=r"rho has a negative eigenvalue -1\.300e-10"):
+        check_density_matrix(rho, n)
+
+
+def test_density_check_rejects_non_hermitian_wrong_trace_and_wrong_size():
+    rho = planted_density(np.random.default_rng(5), 4, 0.1, complex_entries=True)
+    skewed = rho.copy()
+    skewed[0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density_matrix(skewed)
+    with pytest.raises(ValueError, match="unit trace"):
+        check_density_matrix(1.01 * rho)
+    with pytest.raises(ValueError, match="must be 9 x 9"):
+        check_density_matrix(rho, 9)
+
+
+def test_density_check_diagonalizes_only_when_the_factorization_fails(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    for d in range(2, 13):
+        check_density_matrix(singlet_pair_reduced(d))
+    check_density_matrix(planted_density(np.random.default_rng(1), 49, -0.3e-10, True))
+    assert shapes == []
+    check_density_matrix(planted_density(np.random.default_rng(1), 49, -0.7e-10, True))
+    assert shapes == [(49, 49)]

@@ -9,9 +9,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qshare.linalg import partial_trace, reduced_density_matrix, schmidt_spectrum, swap_operator
+from qshare.linalg import (
+    PSD_TOLERANCE,
+    check_density_matrix,
+    partial_trace,
+    reduced_density_matrix,
+    schmidt_spectrum,
+    swap_operator,
+)
 from qshare.measures import werner_fit
 from qshare.optimize import span_entanglement
+from test_linalg import planted_density
 
 unit_interval = st.floats(0.0, 1.0)
 
@@ -75,3 +83,19 @@ def test_werner_fit_round_trips(d, p):
     assert fit.a_w == pytest.approx(a_w, abs=1e-12)
     assert fit.b_w == pytest.approx(b_w, abs=1e-12)
     assert fit.residual <= 1e-12
+
+
+@given(
+    n=st.integers(2, 9),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.floats(-3e-10, 1e-10).filter(lambda x: abs(x + PSD_TOLERANCE) >= 1e-12),
+)
+def test_density_check_accepts_exactly_the_spectra_above_tolerance(n, complex_entries, seed, lowest):
+    rho = planted_density(np.random.default_rng(seed), n, lowest, complex_entries)
+    try:
+        check_density_matrix(rho, n)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (np.linalg.eigvalsh(rho)[0] >= -PSD_TOLERANCE)
