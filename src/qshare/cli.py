@@ -238,25 +238,34 @@ def _exit_code(report, strict) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshare", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
-    common.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
-    common.add_argument("--tol", type=float, default=1e-10, help="Werner detection tolerance")
-    common.add_argument("--strict", action="store_true", help="escalate warnings to a nonzero exit")
+    # Each subcommand takes only the flags it reads, so argparse rejects the rest.
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="escalate warnings to a nonzero exit")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--seed", type=int, default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
+    solver.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
+    werner = argparse.ArgumentParser(add_help=False)
+    werner.add_argument("--tol", type=float, default=1e-10, help="Werner detection tolerance")
     # Only table offers csv.  Parents share their action objects, so resolving a
-    # --format inherited from `common` in table would remove it everywhere.
-    no_csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    # --format inherited from a shared parent in table would remove it everywhere.
+    no_csv = argparse.ArgumentParser(add_help=False)
     no_csv.add_argument("--format", choices=["text", "json"], default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    table = sub.add_parser("table", parents=[common], help="sharing bounds for three particles at d = 2, 3, 7")
+    table = sub.add_parser(
+        "table", parents=[solver, werner, strict], help="sharing bounds for three particles at d = 2, 3, 7"
+    )
     table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     table.add_argument("--grid-step", type=float, default=0.005, help="coarse step of the aligned-weight scan")
-    singlet = sub.add_parser("singlet", parents=[no_csv], help="pair marginal of the d-particle collective singlet")
+    singlet = sub.add_parser(
+        "singlet", parents=[werner, strict, no_csv], help="pair marginal of the d-particle collective singlet"
+    )
     singlet.add_argument("--d", type=int, default=3, help="particle count and level count")
-    family = sub.add_parser("family", parents=[no_csv], help="three-particle family at one aligned weight")
+    family = sub.add_parser(
+        "family", parents=[solver, strict, no_csv], help="three-particle family at one aligned weight"
+    )
     family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
-    sub.add_parser("verify", parents=[no_csv], help="run the self-verification suite")
+    sub.add_parser("verify", parents=[solver, strict, no_csv], help="run the self-verification suite")
     return parser
 
 

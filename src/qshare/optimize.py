@@ -34,17 +34,8 @@ __all__ = [
 PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
-# Width of the aligned-weight bracket at which the bisection of the scan stops.
-_REFINE_WIDTH = 1e-4
-# A solve within this of the vertex value V(a) lies on the vertex branch.  A
-# vertex-side solve can end a hair off its vertex and report up to about
-# 2e-12 below V(a); a mixed-side solve lies 5.7e-6 below V(a) as close as
-# 2.5e-5 to the crossing, so only points within about 5e-9 of it can be
-# misrouted.
-_VERTEX_MARGIN = 1e-9
-
-# A near-best restart whose largest squared coefficient is at most this
-# counts as a non-basis minimizer.
+# A near-best restart, or a point of the scan's continued mixed branch, whose
+# largest squared coefficient is at most this counts as a non-basis minimizer.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -117,9 +108,9 @@ class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
     ``scan_trace`` lists the solved points as (a, value) in solve order: the
-    grid points in decreasing order of their vertex bound, then the
-    bisection points.  ``e_star`` at ``a_star`` is the first largest
-    value of the trace, and its minimizer's orbit certificate passed.
+    grid points in decreasing order of their vertex bound, then the solve at
+    ``a_star`` that certifies the peak.  ``e_star`` is the closed-form vertex
+    value V(a_star) at the branch crossing, at least every traced value.
     """
 
     a_star: float
@@ -414,28 +405,38 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
     return result.value
 
 
+def _continue_mixed_branch(x, a, config: OptimizationConfig):
+    """Mixed-branch minimizer at weight ``a`` warm-started at ``x``, or None on the vertex side.
+
+    The vertex side is a run that ends not below V(a) or on a basis vertex:
+    far past the crossing the branch collapses onto one, at V(a) to round-off.
+    """
+    objective = _SpanObjective(ResidueFamily.from_a(a))
+    coeffs, values = _finish(objective, _lbfgs(objective, x[None], config)[0])
+    mixed = values[0] < objective.vertex_value and np.max(coeffs[0] ** 2) <= _VERTEX_WEIGHT
+    return coeffs[0] if mixed else None
+
+
 def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.005) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
-    the mixed-branch minimum, and it peaks where the two cross.  The scan
-    solves the uniform grid of step ``grid_step`` (1/n for an integer
-    n >= 2), then bisects the bracket between the best grid point's
-    neighbours down to a width of 1e-4.  From a solve on the vertex branch
-    (within ``_VERTEX_MARGIN`` of V(a)) the crossing lies toward a = 1/2, from
-    one on the mixed branch away from it, and from a = 1/2 itself the
-    bisection follows the lower crossing.  The bracket's midpoint is the grid
-    peak, so its solve is the first bisection step.  The result is the first
-    best of all solved points; the orbit certificate of its minimizer must
-    pass (see :func:`orbit_certificate`), which needs no further solve.
+    the mixed-branch minimum, and it peaks where the two cross.  The best
+    point of the grid of step ``grid_step`` (1/n for an integer n >= 2)
+    picks the crossing; bisection then shrinks the bracket between its
+    neighbours as far as floating point allows.  Each bisection point
+    continues the mixed branch from the latest mixed-side minimizer (at first
+    the grid neighbour's toward a = 1/2, or the best point's own at a = 1/2).
+    The crossing lies toward a = 1/2 from a vertex-side point and away from
+    it from a mixed-side one; from a = 1/2 the lower crossing is followed.
+    ``e_star`` is V(``a_star``).  One multistart solve at ``a_star`` must come
+    within ``config.value_tolerance`` (relative) of it, or ``RuntimeError``
+    is raised, and its minimizer must pass :func:`orbit_certificate`.
 
-    Grid points are solved in decreasing order of V(a), and the scan stops at
-    the first point whose V(a) lies below the best value solved so far.  That
-    skips only points that cannot win: a solve never reports more than V(a),
-    and every later point has a lower bound still.  The best grid value and
-    its a are therefore those of the exhaustive scan.  V(a) rises up to
-    a = 1/2 and falls after it, so the solved points form one grid interval
-    around 1/2.
+    Grid points are solved in decreasing order of V(a) until one's V(a) lies
+    below the best value solved: as no solve reports more than V(a), the best
+    grid point is that of the exhaustive scan.  The solved points form one
+    interval around a = 1/2, where V(a) peaks.
     """
     config = config or OptimizationConfig()
     if not (0.0 < grid_step <= 0.5 and abs(1.0 / grid_step - round(1.0 / grid_step)) <= 1e-9):
@@ -448,22 +449,21 @@ def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.0
         if solves and bounds[i] < max(result.value for _, result in solves):
             break
         solves.append((float(grid[i]), min_span_entanglement(float(grid[i]), config)))
-    a, result = max(solves, key=lambda s: (s[1].value, -s[0]))  # ties go to the lowest a
+    a, _ = max(solves, key=lambda s: (s[1].value, -s[0]))  # ties go to the lowest a
 
     p = int(np.searchsorted(grid, a))
     lo, hi = float(grid[max(0, p - 1)]), float(grid[min(grid.size - 1, p + 1)])
-    while True:
-        vertex_side = result.value >= _vertex_entanglement(ResidueFamily.from_a(a)) - _VERTEX_MARGIN
-        if (a < 0.5 and vertex_side) or (a > 0.5 and not vertex_side):
-            lo = a
-        else:
-            hi = a
-        if hi - lo <= _REFINE_WIDTH:
-            break
+    x = dict(solves)[float(grid[p + int(np.sign(0.5 - a))])].argmin
+    while lo < a < hi:
+        mixed = _continue_mixed_branch(x, a, config)
+        x = x if mixed is None else mixed
+        lo, hi = (a, hi) if (a < 0.5 and mixed is None) or (a > 0.5 and mixed is not None) else (lo, a)
         a = (lo + hi) / 2
-        result = min_span_entanglement(a, config)
-        solves.append((a, result))
 
-    a_star, result = max(solves, key=lambda s: s[1].value)  # the first largest
-    orbit_certificate(result, a_star)
-    return ScanResult(a_star=a_star, e_star=result.value, scan_trace=tuple((a, r.value) for a, r in solves))
+    result = min_span_entanglement(a, config)
+    solves.append((a, result))
+    e_star = _vertex_entanglement(ResidueFamily.from_a(a))
+    if e_star - result.value > config.value_tolerance * e_star:
+        raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
+    orbit_certificate(result, a)
+    return ScanResult(a_star=a, e_star=e_star, scan_trace=tuple((a, r.value) for a, r in solves))

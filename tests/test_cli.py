@@ -17,6 +17,10 @@ from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduc
 TABLE_ARGS = ["--restarts", "40", "--grid-step", "0.05", "--seed", "0"]
 
 
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("solved before rejecting the input")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -61,21 +65,46 @@ def test_table_fails_on_a_corrupted_orbit(capsys, monkeypatch):
     assert out == ""
 
 
+def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
+    code = main(["table", "--format", "json", *TABLE_ARGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: crossing certificate failed")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["singlet", "--tol", "nan"],
         ["table", "--tol", "-1", *TABLE_ARGS],
         ["table", "--grid-step", "0.3", "--restarts", "5"],
+        # Flags a subcommand does not read are refused, not ignored.
+        ["family", "--tol", "5"],
+        ["verify", "--tol", "-1"],
+        ["singlet", "--restarts", "5"],
+        ["singlet", "--seed", "3"],
     ],
-    ids=["singlet-tol-nan", "table-tol-negative", "table-grid-step-0.3"],
+    ids=[
+        "singlet-tol-nan",
+        "table-tol-negative",
+        "table-grid-step-0.3",
+        "family-tol",
+        "verify-tol",
+        "singlet-restarts",
+        "singlet-seed",
+    ],
 )
-def test_bad_tolerance_or_grid_step_exits_2(capsys, argv):
-    code = main([*argv, "--format", "json"])
+def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
+    try:
+        code = main([*argv, "--format", "json"])
+    except SystemExit as exc:  # argparse rejects an unknown flag itself
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(("error: ", "usage: qshare "))
 
 
 def test_table_csv_header(capsys):
@@ -86,10 +115,6 @@ def test_table_csv_header(capsys):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "2" and first[-1] == "known-bound"
-
-
-def refuse_to_solve(*args, **kwargs):
-    raise AssertionError("solved before rejecting the input")
 
 
 def test_csv_rejected_outside_table(capsys, monkeypatch):

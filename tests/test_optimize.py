@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
-    _VERTEX_MARGIN,
+    _VERTEX_WEIGHT,
     OptimizationConfig,
+    _continue_mixed_branch,
     _finish,
     _lbfgs,
     _SpanObjective,
@@ -24,6 +26,11 @@ from qshare.optimize import (
 from qshare.states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 FAST = OptimizationConfig(restarts=20, seed=0)
+
+
+@functools.cache
+def fast_scan(grid_step):
+    return maximize_pair_eof(FAST, grid_step=grid_step)
 
 
 def random_coeffs(rng):
@@ -420,33 +427,52 @@ class TestMaximizePairEof:
     def test_trace_contains_best(self, grid_step):
         # From a = 1/2 the bisection must follow the lower crossing: the upper
         # one peaks at a = 0.539 with E = 1.99384.
-        scan = maximize_pair_eof(FAST, grid_step=grid_step)
+        scan = fast_scan(grid_step)
         values = [v for _, v in scan.scan_trace]
-        assert scan.e_star == max(values)
+        assert scan.e_star >= max(values)
+        assert scan.e_star == _vertex_entanglement(ResidueFamily.from_a(scan.a_star))
         assert abs(scan.a_star - 0.461) <= 0.005
         assert abs(scan.e_star - 1.9944) <= 5e-4
 
-    @pytest.mark.parametrize(("a", "seed"), [(0.4609, 0), (0.43045, 123)])
-    def test_vertex_side_needs_a_margin(self, a, seed):
-        # These solves end at a basis vertex, yet report a value just below
-        # V(a), so an exact comparison would put them on the mixed side.
-        result = min_span_entanglement(a, OptimizationConfig(restarts=40, seed=seed))
-        assert np.max(np.abs(result.argmin)) ** 2 > 1.0 - 1e-9
-        assert 0.0 < _vertex_entanglement(ResidueFamily.from_a(a)) - result.value < _VERTEX_MARGIN
+    def test_crossing_does_not_depend_on_the_grid(self):
+        a_stars = [fast_scan(grid_step).a_star for grid_step in (0.02, 0.05, 0.1, 0.25, 0.5)]
+        assert max(a_stars) - min(a_stars) <= 1e-9
 
-    def test_default_grid_refines_with_six_bisection_points(self):
-        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
+    def test_default_grid_certifies_the_crossing(self):
+        scans = [maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed)) for seed in (0, 11)]
         grid = set(np.linspace(0.0, 1.0, 201).tolist())
-        grid_part = [(a, v) for a, v in scan.scan_trace if a in grid]
-        refinement = scan.scan_trace[len(grid_part) :]
-        assert list(scan.scan_trace[: len(grid_part)]) == grid_part
-        peak = max(grid_part, key=lambda s: (s[1], -s[0]))[0]
-        assert len(refinement) == 6
-        assert all(peak - 0.005 < a < peak + 0.005 for a, _ in refinement)
-        vertex_side = [
-            a for a, v in scan.scan_trace if v >= _vertex_entanglement(ResidueFamily.from_a(a)) - _VERTEX_MARGIN
-        ]
-        assert abs(scan.a_star - vertex_side[-1]) <= 1e-4
+        for scan in scans:
+            # 15 grid solves, then the one multistart solve at a_star.
+            assert len(scan.scan_trace) == 16
+            assert all(a in grid for a, _ in scan.scan_trace[:15])
+            a, value = scan.scan_trace[-1]
+            assert a == scan.a_star
+            assert 0.0 <= scan.e_star - value <= 1e-10 * scan.e_star
+            assert abs(scan.e_star - 1.9943982) <= 1e-7
+        assert abs(scans[0].a_star - scans[1].a_star) <= 1e-9
+
+    def test_side_test_needs_the_vertex_weight(self):
+        # The branch continued from a = 0.475 collapses onto a basis vertex
+        # far past the crossing, yet reports a value just below V(a), so a
+        # test on the sign of V(a) - f alone would put it on the mixed side.
+        config = OptimizationConfig(restarts=40, seed=0)
+        start = min_span_entanglement(0.475, config).argmin
+        for a in (0.0, 0.6):
+            objective = _SpanObjective(ResidueFamily.from_a(a))
+            x, _, _ = _lbfgs(objective, start[None], config)
+            coeffs, values = _finish(objective, x)
+            assert 0.0 < objective.vertex_value - values[0] < 1e-10
+            assert np.max(coeffs[0] ** 2) > _VERTEX_WEIGHT
+            assert _continue_mixed_branch(start, a, config) is None
+        # Near the crossing the continued branch lies on the mixed side above
+        # it and above V(a) below it.
+        a_star = fast_scan(0.05).a_star
+        assert _continue_mixed_branch(start, a_star + 1e-6, config) is not None
+        assert _continue_mixed_branch(start, a_star - 1e-6, config) is None
+
+    def test_certifies_the_crossing(self, lowered_peak_solve):
+        with pytest.raises(RuntimeError, match="crossing certificate"):
+            maximize_pair_eof(FAST, grid_step=0.05)
 
     def test_pruning_matches_exhaustive_scan(self):
         grid = np.linspace(0.0, 1.0, 51).tolist()
