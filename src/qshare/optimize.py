@@ -108,9 +108,9 @@ class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
     ``scan_trace`` lists the solved points as (a, value) in solve order: the
-    grid points in decreasing order of their vertex bound, then the solve at
-    ``a_star`` that certifies the peak.  ``e_star`` is the closed-form vertex
-    value V(a_star) at the branch crossing, at least every traced value.
+    grid points by decreasing vertex bound, any solve at a = 1/2 that starts
+    the bisection, then the one at ``a_star`` that certifies the peak.
+    ``e_star`` is the vertex value V(a_star), at least every traced value.
     """
 
     a_star: float
@@ -421,22 +421,19 @@ def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.0
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
-    the mixed-branch minimum, and it peaks where the two cross.  The best
-    point of the grid of step ``grid_step`` (1/n for an integer n >= 2)
-    picks the crossing; bisection then shrinks the bracket between its
-    neighbours as far as floating point allows.  Each bisection point
-    continues the mixed branch from the latest mixed-side minimizer (at first
-    the grid neighbour's toward a = 1/2, or the best point's own at a = 1/2).
-    The crossing lies toward a = 1/2 from a vertex-side point and away from
-    it from a mixed-side one; from a = 1/2 the lower crossing is followed.
-    ``e_star`` is V(``a_star``).  One multistart solve at ``a_star`` must come
-    within ``config.value_tolerance`` (relative) of it, or ``RuntimeError``
-    is raised, and its minimizer must pass :func:`orbit_certificate`.
-
-    Grid points are solved in decreasing order of V(a) until one's V(a) lies
-    below the best value solved: as no solve reports more than V(a), the best
-    grid point is that of the exhaustive scan.  The solved points form one
-    interval around a = 1/2, where V(a) peaks.
+    the mixed-branch minimum, and it peaks where the two cross.  Points of
+    the grid of step ``grid_step`` (1/n, n >= 2 an integer) are solved in
+    decreasing order of V(a) until one's V(a) lies below the best value
+    solved; no solve reports more than V(a), so the best grid point, which
+    picks the crossing, is that of the exhaustive scan.  Bisection shrinks
+    its bracket, cut at a = 1/2, to floating-point width, each point
+    continuing the mixed branch from the latest mixed-side minimizer: at
+    first the grid neighbour's toward a = 1/2, or a solve's at a = 1/2 if
+    that neighbour lies across it (odd n).  From a vertex-side point the
+    crossing lies toward a = 1/2, from a mixed-side one away from it, and
+    from a = 1/2 the lower one is followed.  ``e_star`` is V(``a_star``).  A
+    multistart solve there that ends more than ``value_tolerance`` (relative)
+    below it or fails :func:`orbit_certificate` raises ``RuntimeError``.
     """
     config = config or OptimizationConfig()
     if not (0.0 < grid_step <= 0.5 and abs(1.0 / grid_step - round(1.0 / grid_step)) <= 1e-9):
@@ -453,15 +450,18 @@ def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.0
 
     p = int(np.searchsorted(grid, a))
     lo, hi = float(grid[max(0, p - 1)]), float(grid[min(grid.size - 1, p + 1)])
-    x = dict(solves)[float(grid[p + int(np.sign(0.5 - a))])].argmin
+    near = float(grid[p + int(np.sign(0.5 - a))])  # the grid neighbour toward a = 1/2
+    if (near - 0.5) * (a - 0.5) < 0:  # across a = 1/2 (odd n)
+        lo, hi = (lo, 0.5) if a < 0.5 else (0.5, hi)
+        solves.append((near := 0.5, min_span_entanglement(0.5, config)))
+    x = dict(solves)[near].argmin
     while lo < a < hi:
         mixed = _continue_mixed_branch(x, a, config)
         x = x if mixed is None else mixed
         lo, hi = (a, hi) if (a < 0.5 and mixed is None) or (a > 0.5 and mixed is not None) else (lo, a)
         a = (lo + hi) / 2
 
-    result = min_span_entanglement(a, config)
-    solves.append((a, result))
+    solves.append((a, result := min_span_entanglement(a, config)))
     e_star = _vertex_entanglement(ResidueFamily.from_a(a))
     if e_star - result.value > config.value_tolerance * e_star:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")

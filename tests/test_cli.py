@@ -53,6 +53,16 @@ def test_table_default_grid_meets_reference(capsys):
     assert abs(results["rows"][2]["e_bound"] - 1.9944) <= 5e-4
 
 
+def test_table_odd_grid_meets_reference(capsys):
+    # The 0.2 grid has no point at a = 1/2: the peak's neighbour toward it,
+    # 0.6, lies across it and is never solved.
+    code, out = run_cli(capsys, ["table", "--strict", "--format", "json", "--restarts", "40", "--grid-step", "0.2"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert abs(results["a_star"] - 0.4609984) <= 1e-7
+    assert abs(results["rows"][2]["e_bound"] - 1.9943982) <= 1e-7
+
+
 def test_table_fails_on_a_corrupted_orbit(capsys, monkeypatch):
     # The orbit of the uniform span state, not of the minimizer, averages to
     # more than the peak value, so the peak's certificate must fail.

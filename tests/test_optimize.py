@@ -423,10 +423,12 @@ class TestAverageEntanglement:
 
 
 class TestMaximizePairEof:
-    @pytest.mark.parametrize("grid_step", [0.02, 0.05, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("grid_step", [0.02, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1 / 7])
     def test_trace_contains_best(self, grid_step):
         # From a = 1/2 the bisection must follow the lower crossing: the upper
-        # one peaks at a = 0.539 with E = 1.99384.
+        # one peaks at a = 0.539 with E = 1.99384.  On the odd grids the best
+        # point's neighbour toward a = 1/2 lies across it, below the best
+        # value, and is never solved.
         scan = fast_scan(grid_step)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star >= max(values)
@@ -435,8 +437,17 @@ class TestMaximizePairEof:
         assert abs(scan.e_star - 1.9944) <= 5e-4
 
     def test_crossing_does_not_depend_on_the_grid(self):
-        a_stars = [fast_scan(grid_step).a_star for grid_step in (0.02, 0.05, 0.1, 0.25, 0.5)]
+        a_stars = [fast_scan(grid_step).a_star for grid_step in (0.02, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1 / 7)]
         assert max(a_stars) - min(a_stars) <= 1e-9
+
+    def test_odd_grid_continues_from_half(self):
+        # On the 0.2 grid the best point 0.4 lies below the crossing, and its
+        # neighbour toward a = 1/2, 0.6, lies across it with V(0.6) below the
+        # value at 0.4, so it is never solved: the branch is continued from a
+        # multistart solve at a = 1/2 instead.
+        trace = [a for a, _ in fast_scan(0.2).scan_trace]
+        assert trace[:2] == [0.4, 0.5]
+        assert len(trace) == 3
 
     def test_default_grid_certifies_the_crossing(self):
         scans = [maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed)) for seed in (0, 11)]
@@ -453,15 +464,16 @@ class TestMaximizePairEof:
 
     def test_side_test_needs_the_vertex_weight(self):
         # The branch continued from a = 0.475 collapses onto a basis vertex
-        # far past the crossing, yet reports a value just below V(a), so a
-        # test on the sign of V(a) - f alone would put it on the mixed side.
+        # far past the crossing and reports V(a) only to round-off, of either
+        # sign, so a test on the sign of V(a) - f alone could put it on the
+        # mixed side.
         config = OptimizationConfig(restarts=40, seed=0)
         start = min_span_entanglement(0.475, config).argmin
         for a in (0.0, 0.6):
             objective = _SpanObjective(ResidueFamily.from_a(a))
             x, _, _ = _lbfgs(objective, start[None], config)
             coeffs, values = _finish(objective, x)
-            assert 0.0 < objective.vertex_value - values[0] < 1e-10
+            assert abs(objective.vertex_value - values[0]) < 1e-10
             assert np.max(coeffs[0] ** 2) > _VERTEX_WEIGHT
             assert _continue_mixed_branch(start, a, config) is None
         # Near the crossing the continued branch lies on the mixed side above
