@@ -313,7 +313,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
             dev = max(dev, result.value - span_entanglement(_random_coeffs(rng), a))
         witness_dev = max(witness_dev, abs(span_entanglement(result.argmin, a) - result.value))
     out.append(_result("minimum lower-bounds sampled span states", max(dev, 0.0), 1e-8))
-    out.append(_result("argmin reproduces the reported value", witness_dev, config.value_tolerance))
+    out.append(_result("argmin reproduces the reported value", witness_dev, 1e-10))
 
     # Same seed, same restart values; a batch of k restarts equals the first
     # k rows of a batch of R, so no restart depends on the others.
@@ -352,10 +352,9 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     return out
 
 
-def run_all_checks(config: OptimizationConfig | None = None, seed=0) -> list[CheckResult]:
-    """Run the whole suite with a deterministic random stream."""
-    config = config or OptimizationConfig(restarts=30)
-    rng = np.random.default_rng(seed)
+def run_all_checks(config: OptimizationConfig) -> list[CheckResult]:
+    """Run the whole suite; ``config.seed`` also seeds every check's random stream."""
+    rng = np.random.default_rng(config.seed)
     results = []
     results += linalg_checks(rng)
     results += measure_checks(rng)

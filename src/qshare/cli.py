@@ -48,7 +48,7 @@ def _resolve_seed(args):
 def _config_from_args(args):
     restarts = args.restarts
     if restarts is None:
-        restarts = _DEFAULT_RESTARTS.get(args.command, 200)
+        restarts = _DEFAULT_RESTARTS[args.command]
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
@@ -151,7 +151,7 @@ def run_family(args) -> dict:
 def run_verify(args) -> dict:
     """Run every invariant check; any failure drives a nonzero exit."""
     config = _config_from_args(args)
-    checks = run_all_checks(config, seed=_resolve_seed(args))
+    checks = run_all_checks(config)
     failed = [c.name for c in checks if not c.passed]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -266,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
     sub.add_parser("verify", parents=[solver, strict, no_csv], help="run the self-verification suite")
+    parser.set_defaults(subparsers=sub.choices)
     return parser
 
 
@@ -273,8 +274,9 @@ _RUNNERS = {"table": run_table, "singlet": run_singlet, "family": run_family, "v
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # refused with the subcommand's usage line, which lists the flags it takes
+        args.subparsers[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         report = _RUNNERS[args.command](args)
     except (ValueError, RuntimeError) as exc:

@@ -41,10 +41,13 @@ _VERTEX_WEIGHT = 0.99
 # non-basis minimizer was found.
 _NEAR_BEST = 1e-6
 
-# L-BFGS: curvature pairs kept per restart, and the sufficient-decrease
-# constant of the backtracking line search.
+# L-BFGS: curvature pairs kept per restart, the sufficient-decrease
+# constant of the backtracking line search, and the stopping rule of _lbfgs.
 _MEMORY = 10
 _ARMIJO = 1e-4
+_MAX_ITERATIONS = 5000
+_VALUE_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,28 +57,15 @@ class OptimizationConfig:
     Restart i starts from a random real unit 7-vector drawn from its own
     stream, ``np.random.default_rng([seed, i])``: a start depends on neither
     ``restarts`` nor the other restarts, and different seeds share no start.
-    A restart converges when an accepted step lowers the value by at most
-    ``value_tolerance`` (relative to max(|f|, 1)), when its step is at most
-    ``step_tolerance`` times the length of its point, or when no step longer
-    than that lowers the value even along the steepest descent.  It fails
-    when it reaches ``max_iterations`` accepted steps first.
+    Each restart stops by the fixed rule of :func:`_lbfgs`.
     """
 
     restarts: int = 200
-    max_iterations: int = 5000
-    value_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.value_tolerance < 1.0:
-            raise ValueError("value_tolerance must lie in (0, 1)")
-        if not 0.0 < self.step_tolerance < 1.0:
-            raise ValueError("step_tolerance must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -206,13 +196,18 @@ def _direction(g, s_hist, y_hist, rho_hist):
     return -r
 
 
-def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
+def _lbfgs(objective: _SpanObjective, x0):
     """Minimize from every row of ``x0`` in lockstep.
 
     Each row runs its own L-BFGS with its own curvature pairs, backtracking
     step and stopping decision; one batched evaluation per round serves every
-    row still running.  Returns the final points, the accepted steps per row
-    and which rows converged (see :class:`OptimizationConfig`).
+    row still running.  A row converges when an accepted step lowers the
+    value by at most ``_VALUE_TOLERANCE`` (relative to max(|f|, 1)), when its
+    step is at most ``_STEP_TOLERANCE`` times the length of its point, or when
+    no step longer than that lowers the value even along the steepest
+    descent.  It fails when it reaches ``_MAX_ITERATIONS`` accepted steps
+    first.  Returns the final points, the accepted steps per row and which
+    rows converged.
     """
     x = np.array(x0, dtype=float)
     count, dim = x.shape
@@ -276,11 +271,11 @@ def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
         y_hist[kept] = np.concatenate([y_hist[kept, 1:], y_new[curved, None]], axis=1)
         rho_hist[kept] = np.concatenate([rho_hist[kept, 1:], 1.0 / sy[curved, None]], axis=1)
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[moved])), 1.0)
-        flat = f_old - f[moved] <= config.value_tolerance * scale
-        small = np.linalg.norm(s_new, axis=1) <= config.step_tolerance * np.linalg.norm(x[moved], axis=1)
+        flat = f_old - f[moved] <= _VALUE_TOLERANCE * scale
+        small = np.linalg.norm(s_new, axis=1) <= _STEP_TOLERANCE * np.linalg.norm(x[moved], axis=1)
         converged[moved[flat | small]] = True
         running[moved[flat | small]] = False
-        running[moved[iterations[moved] >= config.max_iterations]] = False
+        running[moved[iterations[moved] >= _MAX_ITERATIONS]] = False
         search(moved[running[moved]])
 
         # Backtrack by safeguarded quadratic interpolation until the step
@@ -292,7 +287,7 @@ def _lbfgs(objective: _SpanObjective, x0, config: OptimizationConfig):
         step[held] = 0.5 * t
         step[held[fit]] = np.clip(-slope[held[fit]] * t[fit] ** 2 / (2.0 * rise[fit]), 0.1 * t[fit], 0.5 * t[fit])
         length = step[held] * np.linalg.norm(d[held], axis=1)
-        stall(held[length <= config.step_tolerance * np.linalg.norm(x[held], axis=1)])
+        stall(held[length <= _STEP_TOLERANCE * np.linalg.norm(x[held], axis=1)])
     return x, iterations, converged
 
 
@@ -347,7 +342,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     config = config or OptimizationConfig()
     family = ResidueFamily.from_a(a)
     objective = _SpanObjective(family)
-    x, iterations, converged = _lbfgs(objective, _starts(config), config)
+    x, iterations, converged = _lbfgs(objective, _starts(config))
     coeffs, restart_values = _finish(objective, x)
 
     usable = np.isfinite(restart_values)
@@ -400,19 +395,19 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 
     Returns the span minimum after its :func:`orbit_certificate` passes.
     """
-    result = min_span_entanglement(a, config or OptimizationConfig())
+    result = min_span_entanglement(a, config)
     orbit_certificate(result, a)
     return result.value
 
 
-def _continue_mixed_branch(x, a, config: OptimizationConfig):
+def _continue_mixed_branch(x, a):
     """Mixed-branch minimizer at weight ``a`` warm-started at ``x``, or None on the vertex side.
 
     The vertex side is a run that ends not below V(a) or on a basis vertex:
     far past the crossing the branch collapses onto one, at V(a) to round-off.
     """
     objective = _SpanObjective(ResidueFamily.from_a(a))
-    coeffs, values = _finish(objective, _lbfgs(objective, x[None], config)[0])
+    coeffs, values = _finish(objective, _lbfgs(objective, x[None])[0])
     mixed = values[0] < objective.vertex_value and np.max(coeffs[0] ** 2) <= _VERTEX_WEIGHT
     return coeffs[0] if mixed else None
 
@@ -432,10 +427,9 @@ def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.0
     that neighbour lies across it (odd n).  From a vertex-side point the
     crossing lies toward a = 1/2, from a mixed-side one away from it, and
     from a = 1/2 the lower one is followed.  ``e_star`` is V(``a_star``).  A
-    multistart solve there that ends more than ``value_tolerance`` (relative)
+    multistart solve there that ends more than ``_VALUE_TOLERANCE`` (relative)
     below it or fails :func:`orbit_certificate` raises ``RuntimeError``.
     """
-    config = config or OptimizationConfig()
     if not (0.0 < grid_step <= 0.5 and abs(1.0 / grid_step - round(1.0 / grid_step)) <= 1e-9):
         raise ValueError("grid_step must be 1/n for an integer n >= 2")
     grid = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
@@ -456,14 +450,14 @@ def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.0
         solves.append((near := 0.5, min_span_entanglement(0.5, config)))
     x = dict(solves)[near].argmin
     while lo < a < hi:
-        mixed = _continue_mixed_branch(x, a, config)
+        mixed = _continue_mixed_branch(x, a)
         x = x if mixed is None else mixed
         lo, hi = (a, hi) if (a < 0.5 and mixed is None) or (a > 0.5 and mixed is not None) else (lo, a)
         a = (lo + hi) / 2
 
     solves.append((a, result := min_span_entanglement(a, config)))
     e_star = _vertex_entanglement(ResidueFamily.from_a(a))
-    if e_star - result.value > config.value_tolerance * e_star:
+    if e_star - result.value > _VALUE_TOLERANCE * e_star:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
     orbit_certificate(result, a)
     return ScanResult(a_star=a, e_star=e_star, scan_trace=tuple((a, r.value) for a, r in solves))

@@ -24,7 +24,8 @@ def lowered_peak_solve(monkeypatch):
     """Make every solve off the 0.05-step grid report 1e-9 below its value.
 
     A scan at grid step 0.05 then keeps its grid solves, while the solve that
-    certifies its peak lies more than ``value_tolerance`` below the vertex
+    certifies its peak lies more than the solver's value tolerance
+    (``qshare.optimize._VALUE_TOLERANCE``, 1e-10 relative) below the vertex
     value there.
     """
     solve = qshare.optimize.min_span_entanglement

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qshare
-from qshare.checks import family_checks, run_all_checks, singlet_cross_check
+from qshare.checks import CheckResult, family_checks, run_all_checks, singlet_cross_check
 from qshare.cli import CSV_HEADER, main
 from qshare.optimize import OptimizationConfig
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
@@ -84,16 +84,17 @@ def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "err_start"),
     [
-        ["singlet", "--tol", "nan"],
-        ["table", "--tol", "-1", *TABLE_ARGS],
-        ["table", "--grid-step", "0.3", "--restarts", "5"],
-        # Flags a subcommand does not read are refused, not ignored.
-        ["family", "--tol", "5"],
-        ["verify", "--tol", "-1"],
-        ["singlet", "--restarts", "5"],
-        ["singlet", "--seed", "3"],
+        (["singlet", "--tol", "nan"], "error: "),
+        (["table", "--tol", "-1", *TABLE_ARGS], "error: "),
+        (["table", "--grid-step", "0.3", "--restarts", "5"], "error: "),
+        # Flags a subcommand does not read are refused, not ignored, under the
+        # subcommand's usage line, which lists the flags it does take.
+        (["family", "--tol", "5"], "usage: qshare family "),
+        (["verify", "--tol", "-1"], "usage: qshare verify "),
+        (["singlet", "--restarts", "5"], "usage: qshare singlet "),
+        (["singlet", "--seed", "3"], "usage: qshare singlet "),
     ],
     ids=[
         "singlet-tol-nan",
@@ -105,7 +106,7 @@ def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
         "singlet-seed",
     ],
 )
-def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv):
+def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv, err_start):
     monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
     try:
         code = main([*argv, "--format", "json"])
@@ -114,7 +115,7 @@ def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(("error: ", "usage: qshare "))
+    assert captured.err.startswith(err_start)
 
 
 def test_table_csv_header(capsys):
@@ -255,6 +256,40 @@ def test_verify_text_prints_pass_lines(capsys):
     assert "[FAIL]" not in out
 
 
+def test_werner_fit_failure_exits_1_only_when_strict(capsys):
+    # At tolerance 0 the d = 6 marginal's round-off residual fails the fit.
+    argv = ["singlet", "--d", "6", "--tol", "0", "--format", "json"]
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["results"]["e_f"] is None
+    assert report["warnings"] == ["pair marginal failed the Werner fit at tolerance 0"]
+    code, _ = run_cli(capsys, [*argv, "--strict"])
+    assert code == 1
+
+
+def test_unconverged_restarts_exit_1_without_strict(capsys, monkeypatch):
+    monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 1)
+    code, out = run_cli(capsys, ["family", "--a", "0.5", "--restarts", "3", "--format", "json"])
+    report = json.loads(out)
+    assert code == 1
+    assert report["warnings"] == ["3 of 3 restarts did not converge"]
+    # The best point reached still passes its orbit certificate.
+    assert report["residuals"]["decomposition_reconstruction"] < 1e-10
+
+
+def test_failed_check_exits_1_without_strict(capsys, monkeypatch):
+    def failing_optimizer_checks(config, rng):
+        return [CheckResult("forced failure", False, "max deviation 1 (bound 0)")]
+
+    monkeypatch.setattr("qshare.checks.optimizer_checks", failing_optimizer_checks)
+    code, out = run_cli(capsys, ["verify", "--format", "json"])
+    report = json.loads(out)
+    assert code == 1
+    assert report["results"]["n_failed"] == 1
+    assert report["warnings"] == ["check failed: forced failure"]
+
+
 def test_verify_suite_catches_corrupted_residues():
     # {1, 2, 3} is not doubling-closed, so the member state loses its cyclic
     # symmetry; the residue-validity and cyclic-invariance checks must fail.
@@ -292,6 +327,6 @@ def test_singlet_cross_check_sees_a_wrong_marginal():
 
 
 def test_run_all_checks_green():
-    results = run_all_checks(OptimizationConfig(restarts=10, seed=0), seed=0)
+    results = run_all_checks(OptimizationConfig(restarts=10, seed=0))
     failed = [r.name for r in results if not r.passed]
     assert failed == []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import warnings
 
@@ -9,6 +10,9 @@ from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
+    _MAX_ITERATIONS,
+    _STEP_TOLERANCE,
+    _VALUE_TOLERANCE,
     _VERTEX_WEIGHT,
     OptimizationConfig,
     _continue_mixed_branch,
@@ -113,16 +117,15 @@ class ComplexSpanObjective:
 class TestConfig:
     def test_defaults(self):
         config = OptimizationConfig()
+        assert tuple(field.name for field in dataclasses.fields(config)) == ("restarts", "seed")
         assert config.restarts == 200
-        assert config.max_iterations == 5000
-        assert config.value_tolerance == 1e-10
-        assert config.step_tolerance == 1e-12
         assert config.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizationConfig(restarts=0)
-        with pytest.raises(ValueError):
+        # The stopping rule is fixed in the solver, not set per config.
+        with pytest.raises(TypeError):
             OptimizationConfig(value_tolerance=2.0)
         with pytest.raises(ValueError):
             OptimizationConfig(seed=-1)
@@ -217,14 +220,14 @@ class TestRestarts:
         start_values, _ = objective.value_and_grad(starts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, converged = _lbfgs(objective, starts, FAST)
+            x, _, converged = _lbfgs(objective, starts)
         assert converged.all()
         final_values, _ = objective.value_and_grad(x)
-        assert np.all(final_values <= start_values + FAST.value_tolerance)
+        assert np.all(final_values <= start_values + _VALUE_TOLERANCE)
 
     def test_stationary_start_converges_in_place(self):
         centre = np.linspace(-1.0, 1.0, 14)
-        x, iterations, converged = _lbfgs(_Quadratic(centre), np.array([centre, centre + 0.5]), FAST)
+        x, iterations, converged = _lbfgs(_Quadratic(centre), np.array([centre, centre + 0.5]))
         assert converged.all()
         assert iterations[0] == 0 and np.array_equal(x[0], centre)
         assert np.allclose(x[1], centre, atol=1e-4)
@@ -237,7 +240,7 @@ class TestRestarts:
         vertex[0, 3] = 1.0
         _, grad = objective.value_and_grad(vertex)
         assert 0.0 < np.linalg.norm(grad) < 1e-14
-        x, iterations, converged = _lbfgs(objective, vertex, FAST)
+        x, iterations, converged = _lbfgs(objective, vertex)
         assert converged[0] and iterations[0] == 0
         assert np.array_equal(x, vertex)
 
@@ -245,13 +248,13 @@ class TestRestarts:
         objective = _SpanObjective(ResidueFamily.from_a(0.5))
         starts = _starts(OptimizationConfig(restarts=2, seed=0))
         starts[0] = np.nan
-        x, iterations, converged = _lbfgs(objective, starts, FAST)
+        x, iterations, converged = _lbfgs(objective, starts)
         assert not converged[0] and iterations[0] == 0
         assert converged[1] and np.all(np.isfinite(x[1]))
 
-    def test_iteration_limit_fails_the_restart(self):
-        config = OptimizationConfig(restarts=5, max_iterations=1, seed=0)
-        result = min_span_entanglement(0.5, config)
+    def test_iteration_limit_fails_the_restart(self, monkeypatch):
+        monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 1)
+        result = min_span_entanglement(0.5, OptimizationConfig(restarts=5, seed=0))
         assert result.failed_restarts == tuple(range(5))
         assert np.all(np.isfinite(result.restart_values))
 
@@ -264,11 +267,11 @@ class TestRestarts:
             f, grad = objective.value_and_grad(x[None])
             return f[0], grad[0]
 
-        options = {"maxiter": FAST.max_iterations, "ftol": FAST.value_tolerance, "gtol": FAST.step_tolerance}
+        options = {"maxiter": _MAX_ITERATIONS, "ftol": _VALUE_TOLERANCE, "gtol": _STEP_TOLERANCE}
         runs = [minimize(fun, x0, jac=True, method="L-BFGS-B", options=options) for x0 in _starts(FAST)]
         _, values = _finish(objective, np.array([res.x for res in runs]))
         oracle = values.min()
-        assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=FAST.value_tolerance)
+        assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=_VALUE_TOLERANCE)
 
 
 class TestComplexOracle:
@@ -278,7 +281,7 @@ class TestComplexOracle:
         objective = ComplexSpanObjective(ResidueFamily.from_a(a))
         starts = np.random.default_rng(0).standard_normal((config.restarts, 14))
         starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-        x, _, _ = _lbfgs(objective, starts, config)
+        x, _, _ = _lbfgs(objective, starts)
         values, _ = objective.value_and_grad(x)
         oracle = np.minimum(values, objective.vertex_value).min()
         assert min_span_entanglement(a, config).value == pytest.approx(oracle, abs=1e-10)
@@ -471,16 +474,16 @@ class TestMaximizePairEof:
         start = min_span_entanglement(0.475, config).argmin
         for a in (0.0, 0.6):
             objective = _SpanObjective(ResidueFamily.from_a(a))
-            x, _, _ = _lbfgs(objective, start[None], config)
+            x, _, _ = _lbfgs(objective, start[None])
             coeffs, values = _finish(objective, x)
             assert abs(objective.vertex_value - values[0]) < 1e-10
             assert np.max(coeffs[0] ** 2) > _VERTEX_WEIGHT
-            assert _continue_mixed_branch(start, a, config) is None
+            assert _continue_mixed_branch(start, a) is None
         # Near the crossing the continued branch lies on the mixed side above
         # it and above V(a) below it.
         a_star = fast_scan(0.05).a_star
-        assert _continue_mixed_branch(start, a_star + 1e-6, config) is not None
-        assert _continue_mixed_branch(start, a_star - 1e-6, config) is None
+        assert _continue_mixed_branch(start, a_star + 1e-6) is not None
+        assert _continue_mixed_branch(start, a_star - 1e-6) is None
 
     def test_certifies_the_crossing(self, lowered_peak_solve):
         with pytest.raises(RuntimeError, match="crossing certificate"):
