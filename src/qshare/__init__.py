@@ -2,7 +2,6 @@
 
 from .linalg import (
     SPECTRUM_CLIP,
-    hermitian_eigensystem,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,
@@ -13,7 +12,6 @@ from .measures import (
     WernerParams,
     binary_entropy,
     eof_from_concurrence,
-    pairwise_sharing_bound,
     pure_entanglement,
     qubit_concurrence,
     qubit_concurrence_pure,

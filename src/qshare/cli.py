@@ -65,7 +65,7 @@ def run_table(args) -> dict:
         raise SystemExit("internal error: the d=3 closed-form marginal failed its Werner fit")
     e3 = werner_eof(rho3, 3, args.tol)
 
-    scan = maximize_pair_eof(config, grid_step=args.grid_step)
+    scan = maximize_pair_eof(config)
 
     rows = [
         {"d": 2, "n": 3, "e_bound": e2, "ratio": e2 / math.log2(2), "provenance": "known-bound"},
@@ -78,7 +78,6 @@ def run_table(args) -> dict:
         "inputs": {
             "seed": config.seed,
             "restarts": config.restarts,
-            "grid_step": args.grid_step,
             "tol": args.tol,
         },
         "results": {"rows": rows, "a_star": scan.a_star},
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table", parents=[solver, werner, strict], help="sharing bounds for three particles at d = 2, 3, 7"
     )
     table.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    table.add_argument("--grid-step", type=float, default=0.005, help="coarse step of the aligned-weight scan")
     singlet = sub.add_parser(
         "singlet", parents=[werner, strict, no_csv], help="pair marginal of the d-particle collective singlet"
     )

@@ -18,7 +18,6 @@ __all__ = [
     "swap_operator",
     "partial_trace",
     "reduced_density_matrix",
-    "hermitian_eigensystem",
     "schmidt_spectrum",
     "check_pure_state",
     "check_density_matrix",

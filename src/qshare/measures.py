@@ -33,7 +33,6 @@ __all__ = [
     "werner_concurrence",
     "werner_fit",
     "werner_eof",
-    "pairwise_sharing_bound",
     "Decomposition",
 ]
 
@@ -189,14 +188,6 @@ def werner_eof(rho, d, tol=1e-10) -> float:
         raise ValueError(f"state is not of the form a*I + b*F within tolerance {tol:g}")
     c = werner_concurrence(rho, d)
     return eof_from_concurrence(min(1.0, max(0.0, c)))
-
-
-def pairwise_sharing_bound(n) -> float:
-    """Largest symmetric pairwise E_f for n qubits: the curve at 2/n."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return eof_from_concurrence(min(1.0, 2.0 / n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,8 @@ PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
 # A near-best restart, or a point of the scan's continued mixed branch, whose
-# largest squared coefficient is at most this counts as a non-basis minimizer.
+# largest squared coefficient is at most this is off-vertex: a mixed-branch
+# minimizer, such as the scan's seed solve at a = 1/2 must find.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -48,6 +49,9 @@ _ARMIJO = 1e-4
 _MAX_ITERATIONS = 5000
 _VALUE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-12
+
+# Step of the outward march along the mixed branch from a = 1/2.
+_TRACE_STEP = 0.005
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,11 @@ class OptimizationResult:
 class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
-    ``scan_trace`` lists the solved points as (a, value) in solve order: the
-    grid points by decreasing vertex bound, any solve at a = 1/2 that starts
-    the bisection, then the one at ``a_star`` that certifies the peak.
-    ``e_star`` is the vertex value V(a_star), at least every traced value.
+    ``scan_trace`` lists the traced points as (a, value) in trace order: the
+    multistart solve at a = 1/2, the points of the outward march along the
+    mixed branch as (a, min(V(a), M(a))), down the lower side first, then
+    the multistart solve at ``a_star`` that certifies the peak.  ``e_star``
+    is the vertex value V(a_star), at least every traced value.
     """
 
     a_star: float
@@ -401,7 +406,7 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 
 
 def _continue_mixed_branch(x, a):
-    """Mixed-branch minimizer at weight ``a`` warm-started at ``x``, or None on the vertex side.
+    """Mixed-branch minimizer at ``a`` warm-started at ``x`` (None on the vertex side), and min(V(a), M(a)).
 
     The vertex side is a run that ends not below V(a) or on a basis vertex:
     far past the crossing the branch collapses onto one, at V(a) to round-off.
@@ -409,55 +414,55 @@ def _continue_mixed_branch(x, a):
     objective = _SpanObjective(ResidueFamily.from_a(a))
     coeffs, values = _finish(objective, _lbfgs(objective, x[None])[0])
     mixed = values[0] < objective.vertex_value and np.max(coeffs[0] ** 2) <= _VERTEX_WEIGHT
-    return coeffs[0] if mixed else None
+    return (coeffs[0] if mixed else None), float(values[0])
 
 
-def maximize_pair_eof(config: OptimizationConfig | None = None, *, grid_step=0.005) -> ScanResult:
+def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
-    the mixed-branch minimum, and it peaks where the two cross.  Points of
-    the grid of step ``grid_step`` (1/n, n >= 2 an integer) are solved in
-    decreasing order of V(a) until one's V(a) lies below the best value
-    solved; no solve reports more than V(a), so the best grid point, which
-    picks the crossing, is that of the exhaustive scan.  Bisection shrinks
-    its bracket, cut at a = 1/2, to floating-point width, each point
-    continuing the mixed branch from the latest mixed-side minimizer: at
-    first the grid neighbour's toward a = 1/2, or a solve's at a = 1/2 if
-    that neighbour lies across it (odd n).  From a vertex-side point the
-    crossing lies toward a = 1/2, from a mixed-side one away from it, and
-    from a = 1/2 the lower one is followed.  ``e_star`` is V(``a_star``).  A
-    multistart solve there that ends more than ``_VALUE_TOLERANCE`` (relative)
-    below it or fails :func:`orbit_certificate` raises ``RuntimeError``.
+    the mixed-branch minimum M(a), and it peaks where the two cross.  A
+    multistart solve at a = 1/2 seeds the mixed branch, which is continued
+    outward both ways in steps of ``_TRACE_STEP`` up to the first point on the
+    vertex side.  Bisection shrinks each of the two brackets to
+    floating-point width, each point continuing the branch from the latest
+    mixed-side minimizer: from a vertex-side point the crossing lies toward
+    a = 1/2, from a mixed-side one away from it.  ``a_star`` is the crossing
+    with the larger V(a), and ``e_star`` is V(``a_star``).  Every continued
+    point is feasible, so min(V, M) bounds the span minimum from above.
+    Raises ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex
+    minimizer, if a traced value exceeds ``e_star``, or if a multistart solve
+    at ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
+    ``e_star`` or fails :func:`orbit_certificate`.
     """
-    if not (0.0 < grid_step <= 0.5 and abs(1.0 / grid_step - round(1.0 / grid_step)) <= 1e-9):
-        raise ValueError("grid_step must be 1/n for an integer n >= 2")
-    grid = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
-
-    solves: list[tuple[float, OptimizationResult]] = []  # (a, result) in solve order
-    bounds = np.array([_vertex_entanglement(ResidueFamily.from_a(a)) for a in grid])
-    for i in np.argsort(-bounds, kind="stable"):
-        if solves and bounds[i] < max(result.value for _, result in solves):
-            break
-        solves.append((float(grid[i]), min_span_entanglement(float(grid[i]), config)))
-    a, _ = max(solves, key=lambda s: (s[1].value, -s[0]))  # ties go to the lowest a
-
-    p = int(np.searchsorted(grid, a))
-    lo, hi = float(grid[max(0, p - 1)]), float(grid[min(grid.size - 1, p + 1)])
-    near = float(grid[p + int(np.sign(0.5 - a))])  # the grid neighbour toward a = 1/2
-    if (near - 0.5) * (a - 0.5) < 0:  # across a = 1/2 (odd n)
-        lo, hi = (lo, 0.5) if a < 0.5 else (0.5, hi)
-        solves.append((near := 0.5, min_span_entanglement(0.5, config)))
-    x = dict(solves)[near].argmin
-    while lo < a < hi:
-        mixed = _continue_mixed_branch(x, a)
-        x = x if mixed is None else mixed
-        lo, hi = (a, hi) if (a < 0.5 and mixed is None) or (a > 0.5 and mixed is not None) else (lo, a)
+    seed = min_span_entanglement(0.5, config)
+    if not seed.nontrivial_minimizer:
+        raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
+    trace = [(0.5, seed.value)]
+    crossings = []
+    for step in (-_TRACE_STEP, _TRACE_STEP):
+        x, mixed, k = seed.argmin, seed.argmin, 0
+        while mixed is not None:  # x is the latest mixed-side minimizer
+            x, k = mixed, k + 1
+            mixed, value = _continue_mixed_branch(x, 0.5 + k * step)
+            trace.append((0.5 + k * step, value))
+        lo, hi = sorted((0.5 + (k - 1) * step, 0.5 + k * step))
         a = (lo + hi) / 2
+        while lo < a < hi:
+            mixed, _ = _continue_mixed_branch(x, a)
+            x = x if mixed is None else mixed
+            lo, hi = (a, hi) if (mixed is None) == (a < 0.5) else (lo, a)
+            a = (lo + hi) / 2
+        crossings.append(a)
 
-    solves.append((a, result := min_span_entanglement(a, config)))
+    a = max(crossings, key=lambda c: _vertex_entanglement(ResidueFamily.from_a(c)))
     e_star = _vertex_entanglement(ResidueFamily.from_a(a))
+    peak_a, peak = max(trace, key=lambda t: t[1])
+    if peak > e_star:
+        raise RuntimeError(f"traced value {peak!r} at a={peak_a} exceeds V(a*) {e_star!r} at a*={a}")
+    result = min_span_entanglement(a, config)
+    trace.append((a, result.value))
     if e_star - result.value > _VALUE_TOLERANCE * e_star:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
     orbit_certificate(result, a)
-    return ScanResult(a_star=a, e_star=e_star, scan_trace=tuple((a, r.value) for a, r in solves))
+    return ScanResult(a_star=a, e_star=e_star, scan_trace=tuple(trace))

@@ -197,25 +197,22 @@ class SymmetryOps:
     particles, so they preserve entanglement across the pair cut.
     """
 
-    phase: np.ndarray  # 7x7 diagonal, |j> -> omega^j |j>
-    shift: np.ndarray  # 7x7 cyclic,   |j> -> |j+1 mod 7>
-    pair_phase: np.ndarray  # 49x49, phase^5 on the left particle, phase^3 on the right
-    pair_shift: np.ndarray  # 49x49, shift on both particles
+    pair_phase: np.ndarray  # 49x49 diagonal, |j, k> -> omega^(5j + 3k) |j, k>
+    pair_shift: np.ndarray  # 49x49, |j, k> -> |j+1, k+1> (mod 7)
     omega: complex
 
 
 def symmetry_operators() -> SymmetryOps:
-    """Build the single-particle and pair symmetry unitaries for the family."""
+    """Build the pair symmetry unitaries for the family."""
     omega = np.exp(2j * np.pi / MODULUS)
     powers = omega ** np.arange(MODULUS)
     levels = np.arange(MODULUS)
-    phase = np.diag(powers)
     shift = np.zeros((MODULUS, MODULUS), dtype=complex)
     shift[(levels + 1) % MODULUS, levels] = 1.0
     # Exponents reduced mod 7 keep the entries exact roots of unity.
     pair_phase = np.kron(np.diag(powers[(5 * levels) % MODULUS]), np.diag(powers[(3 * levels) % MODULUS]))
     pair_shift = np.kron(shift, shift)
-    return SymmetryOps(phase=phase, shift=shift, pair_phase=pair_phase, pair_shift=pair_shift, omega=complex(omega))
+    return SymmetryOps(pair_phase=pair_phase, pair_shift=pair_shift, omega=complex(omega))
 
 
 def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:

@@ -21,19 +21,17 @@ else:
 
 @pytest.fixture
 def lowered_peak_solve(monkeypatch):
-    """Make every solve off the 0.05-step grid report 1e-9 below its value.
+    """Make every multistart solve report 1e-9 below its value.
 
-    A scan at grid step 0.05 then keeps its grid solves, while the solve that
-    certifies its peak lies more than the solver's value tolerance
-    (``qshare.optimize._VALUE_TOLERANCE``, 1e-10 relative) below the vertex
-    value there.
+    A scan still seeds its mixed branch at a = 1/2 and traces the same
+    crossing, while the solve that certifies its peak lies more than the
+    solver's value tolerance (``qshare.optimize._VALUE_TOLERANCE``, 1e-10
+    relative) below the vertex value there.
     """
     solve = qshare.optimize.min_span_entanglement
 
     def lowered(a, config):
         result = solve(a, config)
-        if abs(20 * a - round(20 * a)) > 1e-9:
-            result = dataclasses.replace(result, value=result.value - 1e-9)
-        return result
+        return dataclasses.replace(result, value=result.value - 1e-9)
 
     monkeypatch.setattr(qshare.optimize, "min_span_entanglement", lowered)

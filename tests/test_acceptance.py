@@ -107,7 +107,7 @@ def test_criterion_3_balanced_weight_minimum():
 
 def test_criterion_4_outer_maximization():
     smoke_start = time.perf_counter()
-    smoke = maximize_pair_eof(OptimizationConfig(restarts=50, seed=0), grid_step=0.02)
+    smoke = maximize_pair_eof(OptimizationConfig(restarts=50, seed=0))
     smoke_elapsed = time.perf_counter() - smoke_start
     smoke_ok = (
         abs(smoke.a_star - 0.461) <= 0.01
@@ -144,7 +144,7 @@ def test_criterion_5_reported_coefficient_vector():
 
 
 def test_criterion_6_table_ratios(capsys):
-    code = main(["table", "--format", "json", "--grid-step", "0.02", "--restarts", "50", "--seed", "0"])
+    code = main(["table", "--format", "json", "--restarts", "50", "--seed", "0"])
     out = capsys.readouterr().out
     with capsys.disabled():
         assert code == 0

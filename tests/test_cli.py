@@ -14,7 +14,7 @@ from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduc
 
 # Fast-but-meaningful CLI settings for tests; the acceptance module runs the
 # real budgets.
-TABLE_ARGS = ["--restarts", "40", "--grid-step", "0.05", "--seed", "0"]
+TABLE_ARGS = ["--restarts", "40", "--seed", "0"]
 
 
 def refuse_to_solve(*args, **kwargs):
@@ -49,16 +49,6 @@ def test_table_default_grid_meets_reference(capsys):
     report = json.loads(out)
     assert report["warnings"] == []
     results = report["results"]
-    assert abs(results["a_star"] - 0.461) <= 0.005
-    assert abs(results["rows"][2]["e_bound"] - 1.9944) <= 5e-4
-
-
-def test_table_odd_grid_meets_reference(capsys):
-    # The 0.2 grid has no point at a = 1/2: the peak's neighbour toward it,
-    # 0.6, lies across it and is never solved.
-    code, out = run_cli(capsys, ["table", "--strict", "--format", "json", "--restarts", "40", "--grid-step", "0.2"])
-    assert code == 0
-    results = json.loads(out)["results"]
     assert abs(results["a_star"] - 0.4609984) <= 1e-7
     assert abs(results["rows"][2]["e_bound"] - 1.9943982) <= 1e-7
 
@@ -88,22 +78,22 @@ def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
     [
         (["singlet", "--tol", "nan"], "error: "),
         (["table", "--tol", "-1", *TABLE_ARGS], "error: "),
-        (["table", "--grid-step", "0.3", "--restarts", "5"], "error: "),
         # Flags a subcommand does not read are refused, not ignored, under the
         # subcommand's usage line, which lists the flags it does take.
         (["family", "--tol", "5"], "usage: qshare family "),
         (["verify", "--tol", "-1"], "usage: qshare verify "),
         (["singlet", "--restarts", "5"], "usage: qshare singlet "),
         (["singlet", "--seed", "3"], "usage: qshare singlet "),
+        (["table", "--grid-step", "0.05"], "usage: qshare table "),
     ],
     ids=[
         "singlet-tol-nan",
         "table-tol-negative",
-        "table-grid-step-0.3",
         "family-tol",
         "verify-tol",
         "singlet-restarts",
         "singlet-seed",
+        "table-grid-step",
     ],
 )
 def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv, err_start):
@@ -233,8 +223,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_table_robust_across_seeds(capsys):
-    _, out0 = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--grid-step", "0.05", "--seed", "0"])
-    _, out1 = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--grid-step", "0.05", "--seed", "1"])
+    _, out0 = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--seed", "0"])
+    _, out1 = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--seed", "1"])
     rows0 = json.loads(out0)["results"]["rows"]
     rows1 = json.loads(out1)["results"]["rows"]
     for r0, r1 in zip(rows0, rows1):

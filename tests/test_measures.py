@@ -6,7 +6,6 @@ from qshare.measures import (
     Decomposition,
     binary_entropy,
     eof_from_concurrence,
-    pairwise_sharing_bound,
     pure_entanglement,
     qubit_concurrence,
     qubit_concurrence_pure,
@@ -22,7 +21,6 @@ from qshare.states import ResidueFamily, singlet_pair_reduced, w_state
 # formulas; see the formula definitions in the docstrings).
 H_FIVE_SIXTHS = 0.6500224216483542
 CURVE_TWO_THIRDS = 0.5500477595827574
-CURVE_ONE_HALF = 0.3545789026652699
 
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -249,22 +247,6 @@ class TestWernerQuantities:
         pair = reduced_density_matrix(w_state(3), (2, 2, 2), (0, 1))
         with pytest.raises(ValueError):
             werner_eof(pair, 2)
-
-
-class TestSharingBound:
-    def test_two_parties_saturate(self):
-        assert pairwise_sharing_bound(2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_three_parties(self):
-        assert pairwise_sharing_bound(3) == pytest.approx(0.550, abs=5e-4)
-
-    def test_four_parties(self):
-        assert pairwise_sharing_bound(4) == pytest.approx(CURVE_ONE_HALF, abs=1e-12)
-        assert pairwise_sharing_bound(4) == pytest.approx(0.3546, abs=1e-3)
-
-    def test_rejects_single_party(self):
-        with pytest.raises(ValueError):
-            pairwise_sharing_bound(1)
 
 
 class TestDecomposition:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qshare.linalg import SPECTRUM_CLIP
+from qshare.linalg import SPECTRUM_CLIP, schmidt_spectrum
 from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
     PAIR_CUT,
@@ -30,11 +30,12 @@ from qshare.optimize import (
 from qshare.states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 FAST = OptimizationConfig(restarts=20, seed=0)
+SCAN_SEEDS = (0, 1, 2, 3, 5, 7, 11, 12345)
 
 
 @functools.cache
-def fast_scan(grid_step):
-    return maximize_pair_eof(FAST, grid_step=grid_step)
+def fast_scan(seed):
+    return maximize_pair_eof(dataclasses.replace(FAST, seed=seed))
 
 
 def random_coeffs(rng):
@@ -426,44 +427,70 @@ class TestAverageEntanglement:
 
 
 class TestMaximizePairEof:
-    @pytest.mark.parametrize("grid_step", [0.02, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1 / 7])
-    def test_trace_contains_best(self, grid_step):
-        # From a = 1/2 the bisection must follow the lower crossing: the upper
-        # one peaks at a = 0.539 with E = 1.99384.  On the odd grids the best
-        # point's neighbour toward a = 1/2 lies across it, below the best
-        # value, and is never solved.
-        scan = fast_scan(grid_step)
+    @pytest.mark.parametrize("seed", SCAN_SEEDS)
+    def test_trace_contains_best(self, seed):
+        # The march from a = 1/2 brackets both crossings; the upper one peaks
+        # at a = 0.539 with E = 1.99384 and loses.
+        scan = fast_scan(seed)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star >= max(values)
         assert scan.e_star == _vertex_entanglement(ResidueFamily.from_a(scan.a_star))
         assert abs(scan.a_star - 0.461) <= 0.005
         assert abs(scan.e_star - 1.9944) <= 5e-4
 
-    def test_crossing_does_not_depend_on_the_grid(self):
-        a_stars = [fast_scan(grid_step).a_star for grid_step in (0.02, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1 / 7)]
-        assert max(a_stars) - min(a_stars) <= 1e-9
+    def test_crossing_does_not_depend_on_the_seed(self):
+        a_stars = [fast_scan(seed).a_star for seed in SCAN_SEEDS]
+        assert max(a_stars) - min(a_stars) <= 1e-12
 
-    def test_odd_grid_continues_from_half(self):
-        # On the 0.2 grid the best point 0.4 lies below the crossing, and its
-        # neighbour toward a = 1/2, 0.6, lies across it with V(0.6) below the
-        # value at 0.4, so it is never solved: the branch is continued from a
-        # multistart solve at a = 1/2 instead.
-        trace = [a for a, _ in fast_scan(0.2).scan_trace]
-        assert trace[:2] == [0.4, 0.5]
-        assert len(trace) == 3
+    def test_default_grid_certifies_the_crossing(self, monkeypatch):
+        solved = []
 
-    def test_default_grid_certifies_the_crossing(self):
+        def counted(a, config):
+            solved.append(a)
+            return min_span_entanglement(a, config)
+
+        monkeypatch.setattr("qshare.optimize.min_span_entanglement", counted)
         scans = [maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed)) for seed in (0, 11)]
-        grid = set(np.linspace(0.0, 1.0, 201).tolist())
+        # Two multistart solves per scan: the seed of the mixed branch at
+        # a = 1/2, then the certificate at a_star.
+        assert solved == [0.5, scans[0].a_star, 0.5, scans[1].a_star]
         for scan in scans:
-            # 15 grid solves, then the one multistart solve at a_star.
-            assert len(scan.scan_trace) == 16
-            assert all(a in grid for a, _ in scan.scan_trace[:15])
+            assert scan.scan_trace[0][0] == 0.5
             a, value = scan.scan_trace[-1]
             assert a == scan.a_star
             assert 0.0 <= scan.e_star - value <= 1e-10 * scan.e_star
-            assert abs(scan.e_star - 1.9943982) <= 1e-7
-        assert abs(scans[0].a_star - scans[1].a_star) <= 1e-9
+            assert abs(scan.a_star - 0.4609984085684) <= 1e-12
+            assert abs(scan.e_star - 1.9943982236727) <= 1e-12
+
+    def test_continued_envelope_matches_multistart(self):
+        # Where V(a) >= E*, min(V, M) on the continued branch matches the
+        # multistart minimum: never below it, and at most 3.3e-10 above.
+        scan = fast_scan(0)
+        vertex = [_vertex_entanglement(ResidueFamily.from_a(a)) for a, _ in scan.scan_trace[1:-1]]
+        window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v >= scan.e_star]
+        # 0.465 to 0.535, less a = 1/2, whose value is the multistart solve.
+        assert sorted(round(a, 3) for a, _ in window) == [round(0.465 + 0.005 * k, 3) for k in range(15) if k != 7]
+        for a, value in window:
+            gap = value - min_span_entanglement(a, FAST).value
+            assert 0.0 <= gap <= 1e-9
+
+    def test_mixed_branch_stays_off_the_spectrum_clip(self, monkeypatch):
+        # value_and_grad drops the log of squared Schmidt coefficients at or
+        # below SPECTRUM_CLIP; on the traced mixed branch, bisection points
+        # included, the smallest stays far above it, so the mask never acts.
+        continued = []
+
+        def recorded(x, a):
+            mixed, value = _continue_mixed_branch(x, a)
+            if mixed is not None:
+                continued.append((a, mixed))
+            return mixed, value
+
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
+        maximize_pair_eof(FAST)
+        assert len(continued) > 14
+        states = [ResidueFamily.from_a(a).span_state(c) for a, c in continued]
+        assert min(schmidt_spectrum(s, PAIR_DIMS, PAIR_CUT)[-1] for s in states) >= 1e6 * SPECTRUM_CLIP
 
     def test_side_test_needs_the_vertex_weight(self):
         # The branch continued from a = 0.475 collapses onto a basis vertex
@@ -478,45 +505,41 @@ class TestMaximizePairEof:
             coeffs, values = _finish(objective, x)
             assert abs(objective.vertex_value - values[0]) < 1e-10
             assert np.max(coeffs[0] ** 2) > _VERTEX_WEIGHT
-            assert _continue_mixed_branch(start, a) is None
+            assert _continue_mixed_branch(start, a)[0] is None
         # Near the crossing the continued branch lies on the mixed side above
         # it and above V(a) below it.
-        a_star = fast_scan(0.05).a_star
-        assert _continue_mixed_branch(start, a_star + 1e-6) is not None
-        assert _continue_mixed_branch(start, a_star - 1e-6) is None
+        a_star = fast_scan(0).a_star
+        assert _continue_mixed_branch(start, a_star + 1e-6)[0] is not None
+        assert _continue_mixed_branch(start, a_star - 1e-6)[0] is None
+
+    def test_rejects_a_vertex_seed(self, monkeypatch):
+        # A solve at a = 1/2 that ends on a basis vertex gives no mixed branch
+        # to trace.
+        def on_vertex(a, config):
+            result = min_span_entanglement(a, config)
+            if a != 0.5:
+                return result
+            value = _vertex_entanglement(ResidueFamily.from_a(a))
+            return dataclasses.replace(result, value=value, argmin=np.eye(7)[0], nontrivial_minimizer=False)
+
+        monkeypatch.setattr("qshare.optimize.min_span_entanglement", on_vertex)
+        with pytest.raises(RuntimeError, match="no mixed-branch minimizer"):
+            maximize_pair_eof(FAST)
+
+    def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
+        def raised(x, a):
+            mixed, value = _continue_mixed_branch(x, a)
+            return mixed, value + 1e-2
+
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", raised)
+        with pytest.raises(RuntimeError, match="exceeds V"):
+            maximize_pair_eof(FAST)
 
     def test_certifies_the_crossing(self, lowered_peak_solve):
         with pytest.raises(RuntimeError, match="crossing certificate"):
-            maximize_pair_eof(FAST, grid_step=0.05)
-
-    def test_pruning_matches_exhaustive_scan(self):
-        grid = np.linspace(0.0, 1.0, 51).tolist()
-        exhaustive = {a: min_span_entanglement(a, FAST).value for a in grid}
-        bounds = {a: _vertex_entanglement(ResidueFamily.from_a(a)) for a in grid}
-        scan = maximize_pair_eof(FAST, grid_step=0.02)
-        solved = [(a, v) for a, v in scan.scan_trace if a in exhaustive]
-        # Solved in decreasing order of the bound, each value as exhaustive.
-        assert [bounds[a] for a, _ in solved] == sorted((bounds[a] for a, _ in solved), reverse=True)
-        assert all(v == exhaustive[a] for a, v in solved)
-        best_value = max(v for _, v in solved)
-        best_a = min(a for a, v in solved if v == best_value)
-        peak = grid[int(np.argmax([exhaustive[a] for a in grid]))]
-        assert (best_a, best_value) == (peak, exhaustive[peak])
-        solved_a = {a for a, _ in solved}
-        assert all(bounds[a] < scan.e_star for a in grid if a not in solved_a)
-        indices = [i for i, a in enumerate(grid) if a in solved_a]
-        assert indices == list(range(indices[0], indices[-1] + 1))
-        assert grid[indices[0]] <= 0.5 <= grid[indices[-1]]
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            maximize_pair_eof(FAST, grid_step=0.6)
-        with pytest.raises(ValueError):
-            maximize_pair_eof(FAST, grid_step=0.0)
-        with pytest.raises(ValueError):
-            maximize_pair_eof(FAST, grid_step=0.3)
+            maximize_pair_eof(FAST)
 
     def test_certifies_the_peak(self, monkeypatch):
         monkeypatch.setattr("qshare.optimize.orbit_decomposition", uniform_orbit)
         with pytest.raises(RuntimeError, match="orbit certificate"):
-            maximize_pair_eof(FAST, grid_step=0.05)
+            maximize_pair_eof(FAST)

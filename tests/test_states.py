@@ -269,13 +269,6 @@ class TestGaugeFix:
 
 
 class TestSymmetryOperators:
-    def test_single_particle_actions(self):
-        ops = symmetry_operators()
-        basis = np.eye(7)
-        for j in range(7):
-            assert np.max(np.abs(ops.phase @ basis[j] - ops.omega**j * basis[j])) < 1e-12
-            assert np.max(np.abs(ops.shift @ basis[j] - basis[(j + 1) % 7])) < 1e-12
-
     def test_pair_operators_are_unitary(self):
         ops = symmetry_operators()
         for u in (ops.pair_phase, ops.pair_shift):
