@@ -82,20 +82,21 @@ def check_density_matrix(rho, dim=None, *, atol=1e-10, name="rho"):
     Positivity is certified by a Cholesky factorization of
     rho + (PSD_TOLERANCE / 2) I, which succeeds only when the lowest
     eigenvalue is at least -PSD_TOLERANCE / 2 up to round-off; a real rho is
-    factored in real arithmetic.  Only when the factorization fails does the
-    lowest eigenvalue decide, against -PSD_TOLERANCE.
+    checked and factored in real arithmetic.  Only when the factorization
+    fails does the lowest eigenvalue decide, against -PSD_TOLERANCE.
     """
     rho = _as_square_matrix(rho, name)
     n = rho.shape[0]
     if dim is not None and n != int(dim):
         raise ValueError(f"{name} must be {dim} x {dim}, got shape {rho.shape}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
+    work = rho if np.any(rho.imag) else rho.real
+    herm_dev = float(np.max(np.abs(work - work.conj().T)))
     if herm_dev > atol:
         raise ValueError(f"{name} is not Hermitian: max deviation {herm_dev:.3e}")
     trace_dev = abs(np.trace(rho) - 1.0)
     if trace_dev > atol:
         raise ValueError(f"{name} does not have unit trace: deviation {trace_dev:.3e}")
-    shifted = rho.copy() if np.any(rho.imag) else rho.real.copy()
+    shifted = work.copy()
     shifted.flat[:: n + 1] += PSD_TOLERANCE / 2
     try:
         np.linalg.cholesky(shifted)

@@ -104,8 +104,10 @@ class ScanResult:
     ``scan_trace`` lists the traced points as (a, value) in trace order: the
     multistart solve at a = 1/2, the points of the outward march along the
     mixed branch as (a, min(V(a), M(a))), down the lower side first, then
-    the multistart solve at ``a_star`` that certifies the peak.  ``e_star``
-    is the vertex value V(a_star), at least every traced value.
+    the multistart solve at ``a_star`` that certifies the peak.  Bisection
+    points, halved in lockstep on both brackets until one's V(a) range lies
+    below the other's and then on the survivor alone, are not listed.
+    ``e_star`` is the vertex value V(a_star), at least every traced value.
     """
 
     a_star: float
@@ -424,12 +426,15 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     the mixed-branch minimum M(a), and it peaks where the two cross.  A
     multistart solve at a = 1/2 seeds the mixed branch, which is continued
     outward both ways in steps of ``_TRACE_STEP`` up to the first point on the
-    vertex side.  Bisection shrinks each of the two brackets to
-    floating-point width, each point continuing the branch from the latest
+    vertex side.  The two brackets are bisected in lockstep, one halving of
+    each per round, each side continuing the branch from its own latest
     mixed-side minimizer: from a vertex-side point the crossing lies toward
-    a = 1/2, from a mixed-side one away from it.  ``a_star`` is the crossing
-    with the larger V(a), and ``e_star`` is V(``a_star``).  Every continued
-    point is feasible, so min(V, M) bounds the span minimum from above.
+    a = 1/2, from a mixed-side one away from it.  V is monotone on each side
+    of a = 1/2, so a bracket's crossing has V between V(lo) and V(hi); a
+    bracket whose largest V falls below the other's smallest is dropped, and
+    the rest reach floating-point width.  ``a_star`` is the crossing with the
+    larger V(a), and ``e_star`` is V(``a_star``).  Every continued point is
+    feasible, so min(V, M) bounds the span minimum from above.
     Raises ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex
     minimizer, if a traced value exceeds ``e_star``, or if a multistart solve
     at ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
@@ -439,24 +444,29 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     if not seed.nontrivial_minimizer:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
     trace = [(0.5, seed.value)]
-    crossings = []
+    brackets = []  # (latest mixed-side minimizer, lo, hi) per side, lower side first
     for step in (-_TRACE_STEP, _TRACE_STEP):
         x, mixed, k = seed.argmin, seed.argmin, 0
         while mixed is not None:  # x is the latest mixed-side minimizer
             x, k = mixed, k + 1
             mixed, value = _continue_mixed_branch(x, 0.5 + k * step)
             trace.append((0.5 + k * step, value))
-        lo, hi = sorted((0.5 + (k - 1) * step, 0.5 + k * step))
-        a = (lo + hi) / 2
-        while lo < a < hi:
-            mixed, _ = _continue_mixed_branch(x, a)
-            x = x if mixed is None else mixed
-            lo, hi = (a, hi) if (mixed is None) == (a < 0.5) else (lo, a)
-            a = (lo + hi) / 2
-        crossings.append(a)
+        brackets.append((x, *sorted((0.5 + (k - 1) * step, 0.5 + k * step))))
 
-    a = max(crossings, key=lambda c: _vertex_entanglement(ResidueFamily.from_a(c)))
-    e_star = _vertex_entanglement(ResidueFamily.from_a(a))
+    def vertex(a):
+        return _vertex_entanglement(ResidueFamily.from_a(a))
+
+    while any(lo < (lo + hi) / 2 < hi for _, lo, hi in brackets):
+        for i, (x, lo, hi) in enumerate(brackets):
+            a = (lo + hi) / 2
+            if lo < a < hi:
+                mixed, _ = _continue_mixed_branch(x, a)
+                brackets[i] = (x if mixed is None else mixed, *((a, hi) if (mixed is None) == (a < 0.5) else (lo, a)))
+        if len(brackets) == 2:  # drop the bracket whose V range lies below the other's
+            (low, high), (other_low, other_high) = (sorted((vertex(lo), vertex(hi))) for _, lo, hi in brackets)
+            brackets = [bracket for bracket, kept in zip(brackets, (high >= other_low, other_high >= low)) if kept]
+    a = max(((lo + hi) / 2 for _, lo, hi in brackets), key=vertex)
+    e_star = vertex(a)
     peak_a, peak = max(trace, key=lambda t: t[1])
     if peak > e_star:
         raise RuntimeError(f"traced value {peak!r} at a={peak_a} exceeds V(a*) {e_star!r} at a*={a}")
