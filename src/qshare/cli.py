@@ -5,7 +5,8 @@ singlet pair marginals (``singlet``), solve the three-particle family at one
 aligned weight (``family``), and run the self-verification suite
 (``verify``).  Reports are emitted as aligned text, JSON, or CSV (table
 only).  The environment variable ``QSHARE_SEED`` supplies the seed when
-``--seed`` is absent.
+``--seed`` is absent.  The exit status is 0 for a clean run, 1 when the report
+carries any warning, and 2 on an input or internal error.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _config_from_args(args):
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
+def _closed_form_fit(rho, d):
+    """Werner fit of a closed-form pair marginal, which must succeed."""
+    fit = werner_fit(rho, d)
+    if fit is None:
+        raise RuntimeError(f"the d={d} closed-form marginal failed its Werner fit")
+    return fit
+
+
 def run_table(args) -> dict:
     """Pairwise sharing bounds for three particles at d = 2, 3, 7."""
     config = _config_from_args(args)
@@ -60,12 +69,13 @@ def run_table(args) -> dict:
     e2 = qubit_eof(pair)
 
     rho3 = singlet_pair_reduced(3)
-    fit3 = werner_fit(rho3, 3, args.tol)
-    if fit3 is None:
-        raise SystemExit("internal error: the d=3 closed-form marginal failed its Werner fit")
-    e3 = werner_eof(rho3, 3, args.tol)
+    fit3 = _closed_form_fit(rho3, 3)
+    e3 = werner_eof(rho3, 3)
 
     scan = maximize_pair_eof(config)
+    warnings = []
+    if scan.failed_restarts:
+        warnings.append(f"{scan.failed_restarts} of {scan.restarts} restarts did not converge")
 
     rows = [
         {"d": 2, "n": 3, "e_bound": e2, "ratio": e2 / math.log2(2), "provenance": "known-bound"},
@@ -75,14 +85,10 @@ def run_table(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "table",
-        "inputs": {
-            "seed": config.seed,
-            "restarts": config.restarts,
-            "tol": args.tol,
-        },
+        "inputs": {"seed": config.seed, "restarts": config.restarts},
         "results": {"rows": rows, "a_star": scan.a_star},
         "residuals": {"werner_fit_d3": fit3.residual},
-        "warnings": [],
+        "warnings": warnings,
     }
 
 
@@ -90,25 +96,18 @@ def run_singlet(args) -> dict:
     """Werner fit, concurrence and E_f of the closed-form pair marginal."""
     d = args.d
     rho = singlet_pair_reduced(d)
-    fit = werner_fit(rho, d, args.tol)
-    warnings = []
-    residuals = {}
-    results = {"d": d, "c": werner_concurrence(rho, d)}
-    if fit is None:
-        warnings.append(f"pair marginal failed the Werner fit at tolerance {args.tol:g}")
-        results["e_f"] = None
-    else:
-        residuals["werner_fit"] = fit.residual
-        results.update({"a_w": fit.a_w, "b_w": fit.b_w, "e_f": werner_eof(rho, d, args.tol)})
+    fit = _closed_form_fit(rho, d)
+    results = {"d": d, "c": werner_concurrence(rho, d), "a_w": fit.a_w, "b_w": fit.b_w, "e_f": werner_eof(rho, d)}
+    residuals = {"werner_fit": fit.residual}
     if d <= 5:
         residuals["full_state_cross_check"] = singlet_cross_check(d, rho)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "singlet",
-        "inputs": {"d": d, "tol": args.tol},
+        "inputs": {"d": d},
         "results": results,
         "residuals": residuals,
-        "warnings": warnings,
+        "warnings": [],
     }
 
 
@@ -224,46 +223,25 @@ def _emit(report, fmt) -> str:
     return _render_text(report)
 
 
-def _exit_code(report, strict) -> int:
-    warnings = report.get("warnings", [])
-    if any(w.startswith("check failed") for w in warnings):
-        return 1
-    if any("did not converge" in w for w in warnings):
-        return 1
-    if warnings and strict:
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshare", description=__doc__)
     # Each subcommand takes only the flags it reads, so argparse rejects the rest.
-    strict = argparse.ArgumentParser(add_help=False)
-    strict.add_argument("--strict", action="store_true", help="escalate warnings to a nonzero exit")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--seed", type=int, default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
     solver.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
-    werner = argparse.ArgumentParser(add_help=False)
-    werner.add_argument("--tol", type=float, default=1e-10, help="Werner detection tolerance")
     # Only table offers csv.  Parents share their action objects, so resolving a
     # --format inherited from a shared parent in table would remove it everywhere.
     no_csv = argparse.ArgumentParser(add_help=False)
     no_csv.add_argument("--format", choices=["text", "json"], default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    table = sub.add_parser(
-        "table", parents=[solver, werner, strict], help="sharing bounds for three particles at d = 2, 3, 7"
-    )
+    table = sub.add_parser("table", parents=[solver], help="sharing bounds for three particles at d = 2, 3, 7")
     table.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    singlet = sub.add_parser(
-        "singlet", parents=[werner, strict, no_csv], help="pair marginal of the d-particle collective singlet"
-    )
+    singlet = sub.add_parser("singlet", parents=[no_csv], help="pair marginal of the d-particle collective singlet")
     singlet.add_argument("--d", type=int, default=3, help="particle count and level count")
-    family = sub.add_parser(
-        "family", parents=[solver, strict, no_csv], help="three-particle family at one aligned weight"
-    )
+    family = sub.add_parser("family", parents=[solver, no_csv], help="three-particle family at one aligned weight")
     family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
-    sub.add_parser("verify", parents=[solver, strict, no_csv], help="run the self-verification suite")
+    sub.add_parser("verify", parents=[solver, no_csv], help="run the self-verification suite")
     parser.set_defaults(subparsers=sub.choices)
     return parser
 
@@ -281,7 +259,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_emit(report, args.format))
-    return _exit_code(report, args.strict)
+    return 1 if report["warnings"] else 0
 
 
 if __name__ == "__main__":

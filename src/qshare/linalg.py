@@ -32,6 +32,10 @@ SPECTRUM_CLIP = 1e-12
 # round-off with small negative eigenvalues.
 PSD_TOLERANCE = 1e-10
 
+# Round-off allowed in a state's norm, a matrix's Hermiticity and a density
+# matrix's trace before the checks below reject it.
+_ROUND_OFF = 1e-10
+
 
 def _as_square_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=complex)
@@ -52,12 +56,12 @@ def _subsystems(keep, n, name="keep"):
     return keep
 
 
-def check_pure_state(psi, dims, *, atol=1e-10, name="state"):
+def check_pure_state(psi, dims, *, name="state"):
     """Validate a flat amplitude vector, or a 2-D stack of them as rows.
 
     Returns the amplitudes as a complex array of the input's shape together
     with the dimension tuple.  Rejects wrong lengths, non-finite entries, and
-    any vector whose Euclidean norm deviates from 1 by more than ``atol``.
+    any vector whose Euclidean norm deviates from 1 by more than ``_ROUND_OFF``.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2):
@@ -71,13 +75,13 @@ def check_pure_state(psi, dims, *, atol=1e-10, name="state"):
     if not np.all(np.isfinite(psi)):
         raise ValueError(f"{name} contains non-finite amplitudes")
     norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    if np.any(norm_dev > atol):
+    if np.any(norm_dev > _ROUND_OFF):
         raise ValueError(f"{name} is not normalized: |norm - 1| = {np.max(norm_dev):.3e}")
     return psi, dims
 
 
-def check_density_matrix(rho, dim=None, *, atol=1e-10, name="rho"):
-    """Validate Hermiticity, unit trace and positivity.
+def check_density_matrix(rho, dim=None):
+    """Validate Hermiticity and unit trace to ``_ROUND_OFF``, and positivity.
 
     Positivity is certified by a Cholesky factorization of
     rho + (PSD_TOLERANCE / 2) I, which succeeds only when the lowest
@@ -85,17 +89,17 @@ def check_density_matrix(rho, dim=None, *, atol=1e-10, name="rho"):
     checked and factored in real arithmetic.  Only when the factorization
     fails does the lowest eigenvalue decide, against -PSD_TOLERANCE.
     """
-    rho = _as_square_matrix(rho, name)
+    rho = _as_square_matrix(rho, "rho")
     n = rho.shape[0]
     if dim is not None and n != int(dim):
-        raise ValueError(f"{name} must be {dim} x {dim}, got shape {rho.shape}")
+        raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
     work = rho if np.any(rho.imag) else rho.real
     herm_dev = float(np.max(np.abs(work - work.conj().T)))
-    if herm_dev > atol:
-        raise ValueError(f"{name} is not Hermitian: max deviation {herm_dev:.3e}")
+    if herm_dev > _ROUND_OFF:
+        raise ValueError(f"rho is not Hermitian: max deviation {herm_dev:.3e}")
     trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > atol:
-        raise ValueError(f"{name} does not have unit trace: deviation {trace_dev:.3e}")
+    if trace_dev > _ROUND_OFF:
+        raise ValueError(f"rho does not have unit trace: deviation {trace_dev:.3e}")
     shifted = work.copy()
     shifted.flat[:: n + 1] += PSD_TOLERANCE / 2
     try:
@@ -103,7 +107,7 @@ def check_density_matrix(rho, dim=None, *, atol=1e-10, name="rho"):
     except np.linalg.LinAlgError:
         lowest = float(np.linalg.eigvalsh(rho)[0])
         if lowest < -PSD_TOLERANCE:
-            raise ValueError(f"{name} has a negative eigenvalue {lowest:.3e}") from None
+            raise ValueError(f"rho has a negative eigenvalue {lowest:.3e}") from None
     return rho
 
 
@@ -164,15 +168,15 @@ def reduced_density_matrix(psi, dims, keep):
     return rho.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eigensystem(h, *, atol=1e-10):
+def hermitian_eigensystem(h):
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
 
-    Rejects matrices whose Hermitian deviation exceeds ``atol``.  The output
-    satisfies H = V diag(w) V^dagger to the solver's accuracy.
+    Rejects matrices whose Hermitian deviation exceeds ``_ROUND_OFF``.  The
+    output satisfies H = V diag(w) V^dagger to the solver's accuracy.
     """
     h = _as_square_matrix(h, "H")
     dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > atol:
+    if dev > _ROUND_OFF:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()

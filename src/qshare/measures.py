@@ -1,9 +1,9 @@
 """Entanglement measures.
 
 Entropies of Schmidt spectra for pure states, the two-qubit concurrence and
-its closed-form entanglement of formation, the corresponding quantities for
-exchange-symmetric (Werner) pair states, and the symmetric sharing bound for
-n qubits.  All entanglement values are in bits.
+its closed-form entanglement of formation, and the corresponding quantities
+for exchange-symmetric (Werner) pair states.  All entanglement values are in
+bits.
 """
 
 from __future__ import annotations
@@ -29,12 +29,16 @@ __all__ = [
     "qubit_concurrence_pure",
     "qubit_concurrence",
     "qubit_eof",
+    "WERNER_TOLERANCE",
     "WernerParams",
     "werner_concurrence",
     "werner_fit",
     "werner_eof",
     "Decomposition",
 ]
+
+# Largest max-norm residual at which a pair state still counts as Werner.
+WERNER_TOLERANCE = 1e-10
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -153,15 +157,12 @@ def werner_concurrence(rho, d) -> float:
     return float(c.real)
 
 
-def werner_fit(rho, d, tol=1e-10):
+def werner_fit(rho, d):
     """Least-squares (a_w, b_w) for rho ~ a_w I + b_w F on a d x d pair.
 
     Returns a :class:`WernerParams` when the max-norm residual is at most
-    ``tol``, otherwise ``None`` (an explicit not-Werner verdict).  Raises
-    ``ValueError`` unless ``tol`` is a finite non-negative number.
+    ``WERNER_TOLERANCE``, otherwise ``None`` (an explicit not-Werner verdict).
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     d = int(d)
     rho = check_density_matrix(rho, d * d)
     t_id = float(np.trace(rho).real)
@@ -172,20 +173,20 @@ def werner_fit(rho, d, tol=1e-10):
     b_w = (d * d * t_sw - d * t_id) / den
     fitted = a_w * np.identity(d * d) + b_w * swap_operator(d)
     residual = float(np.max(np.abs(rho - fitted)))
-    if residual > tol:
+    if residual > WERNER_TOLERANCE:
         return None
     return WernerParams(a_w=a_w, b_w=b_w, d=d, residual=residual)
 
 
-def werner_eof(rho, d, tol=1e-10) -> float:
+def werner_eof(rho, d) -> float:
     """Entanglement of formation of a Werner pair state.
 
     Equals the concurrence curve evaluated at max(0, -Tr(rho F)); states with
-    a negative value are separable and score 0.  Raises if ``rho`` is not
-    Werner within ``tol``.
+    a negative value are separable and score 0.  Raises ``ValueError`` if
+    ``rho`` is not Werner within ``WERNER_TOLERANCE``.
     """
-    if werner_fit(rho, d, tol) is None:
-        raise ValueError(f"state is not of the form a*I + b*F within tolerance {tol:g}")
+    if werner_fit(rho, d) is None:
+        raise ValueError(f"state is not of the form a*I + b*F within tolerance {WERNER_TOLERANCE:g}")
     c = werner_concurrence(rho, d)
     return eof_from_concurrence(min(1.0, max(0.0, c)))
 

@@ -108,11 +108,16 @@ class ScanResult:
     points, halved in lockstep on both brackets until one's V(a) range lies
     below the other's and then on the survivor alone, are not listed.
     ``e_star`` is the vertex value V(a_star), at least every traced value.
+    ``restarts`` counts every L-BFGS run of the scan, the restarts of both
+    multistart solves and each one-row continuation of the mixed branch, and
+    ``failed_restarts`` those that did not converge.
     """
 
     a_star: float
     e_star: float
     scan_trace: tuple[tuple[float, float], ...]
+    restarts: int
+    failed_restarts: int
 
 
 def _vertex_entanglement(family: ResidueFamily) -> float:
@@ -412,11 +417,13 @@ def _continue_mixed_branch(x, a):
 
     The vertex side is a run that ends not below V(a) or on a basis vertex:
     far past the crossing the branch collapses onto one, at V(a) to round-off.
+    A third value tells whether the run converged.
     """
     objective = _SpanObjective(ResidueFamily.from_a(a))
-    coeffs, values = _finish(objective, _lbfgs(objective, x[None])[0])
+    x, _, converged = _lbfgs(objective, x[None])
+    coeffs, values = _finish(objective, x)
     mixed = values[0] < objective.vertex_value and np.max(coeffs[0] ** 2) <= _VERTEX_WEIGHT
-    return (coeffs[0] if mixed else None), float(values[0])
+    return (coeffs[0] if mixed else None), float(values[0]), bool(converged[0])
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
@@ -444,13 +451,15 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     if not seed.nontrivial_minimizer:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
     trace = [(0.5, seed.value)]
+    continued = []  # whether each continuation converged
     brackets = []  # (latest mixed-side minimizer, lo, hi) per side, lower side first
     for step in (-_TRACE_STEP, _TRACE_STEP):
         x, mixed, k = seed.argmin, seed.argmin, 0
         while mixed is not None:  # x is the latest mixed-side minimizer
             x, k = mixed, k + 1
-            mixed, value = _continue_mixed_branch(x, 0.5 + k * step)
+            mixed, value, converged = _continue_mixed_branch(x, 0.5 + k * step)
             trace.append((0.5 + k * step, value))
+            continued.append(converged)
         brackets.append((x, *sorted((0.5 + (k - 1) * step, 0.5 + k * step))))
 
     def vertex(a):
@@ -460,7 +469,8 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         for i, (x, lo, hi) in enumerate(brackets):
             a = (lo + hi) / 2
             if lo < a < hi:
-                mixed, _ = _continue_mixed_branch(x, a)
+                mixed, _, converged = _continue_mixed_branch(x, a)
+                continued.append(converged)
                 brackets[i] = (x if mixed is None else mixed, *((a, hi) if (mixed is None) == (a < 0.5) else (lo, a)))
         if len(brackets) == 2:  # drop the bracket whose V range lies below the other's
             (low, high), (other_low, other_high) = (sorted((vertex(lo), vertex(hi))) for _, lo, hi in brackets)
@@ -475,4 +485,10 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     if e_star - result.value > _VALUE_TOLERANCE * e_star:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
     orbit_certificate(result, a)
-    return ScanResult(a_star=a, e_star=e_star, scan_trace=tuple(trace))
+    return ScanResult(
+        a_star=a,
+        e_star=e_star,
+        scan_trace=tuple(trace),
+        restarts=len(seed.restart_values) + len(result.restart_values) + len(continued),
+        failed_restarts=len(seed.failed_restarts) + len(result.failed_restarts) + continued.count(False),
+    )

@@ -178,10 +178,10 @@ class ResidueFamily:
         return coeffs @ self.pair_basis()
 
 
-def gauge_fix(coeffs, *, tol=1e-12):
-    """Remove the global phase: first non-negligible coefficient real and >= 0."""
+def gauge_fix(coeffs):
+    """Remove the global phase: first coefficient above 1e-12 in magnitude real and >= 0."""
     c = np.asarray(coeffs, dtype=complex).copy()
-    nonzero = np.flatnonzero(np.abs(c) > tol)
+    nonzero = np.flatnonzero(np.abs(c) > 1e-12)
     if nonzero.size == 0:
         raise ValueError("cannot gauge-fix a zero vector")
     lead = c[nonzero[0]]

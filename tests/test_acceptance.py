@@ -15,6 +15,7 @@ import pytest
 from qshare.cli import main
 from qshare.linalg import reduced_density_matrix
 from qshare.measures import (
+    WERNER_TOLERANCE,
     pure_entanglement,
     qubit_concurrence,
     qubit_eof,
@@ -69,9 +70,10 @@ def test_criterion_1_w_state_pair():
 def test_criterion_2_collective_singlets():
     start = time.perf_counter()
     worst_fit, worst_c, worst_eof, worst_cross = 0.0, 0.0, 0.0, 0.0
+    assert WERNER_TOLERANCE == 1e-10
     for d in range(2, 11):
         rho = singlet_pair_reduced(d)
-        fit = werner_fit(rho, d, 1e-10)
+        fit = werner_fit(rho, d)
         assert fit is not None, f"closed-form marginal rejected at d={d}"
         worst_fit = max(worst_fit, fit.residual)
         worst_c = max(worst_c, abs(werner_concurrence(rho, d) - 1.0))

@@ -8,7 +8,7 @@ import pytest
 
 import qshare
 from qshare.checks import CheckResult, family_checks, run_all_checks, singlet_cross_check
-from qshare.cli import CSV_HEADER, main
+from qshare.cli import CSV_HEADER, build_parser, main
 from qshare.optimize import OptimizationConfig
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
 
@@ -44,7 +44,7 @@ def test_table_json_schema_and_roundtrip(capsys):
 
 
 def test_table_default_grid_meets_reference(capsys):
-    code, out = run_cli(capsys, ["table", "--strict", "--format", "json", "--restarts", "40", "--seed", "0"])
+    code, out = run_cli(capsys, ["table", "--format", "json", "--restarts", "40", "--seed", "0"])
     assert code == 0
     report = json.loads(out)
     assert report["warnings"] == []
@@ -76,15 +76,19 @@ def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
 @pytest.mark.parametrize(
     ("argv", "err_start"),
     [
-        (["singlet", "--tol", "nan"], "error: "),
-        (["table", "--tol", "-1", *TABLE_ARGS], "error: "),
         # Flags a subcommand does not read are refused, not ignored, under the
         # subcommand's usage line, which lists the flags it does take.
+        (["singlet", "--tol", "nan"], "usage: qshare singlet "),
+        (["table", "--tol", "-1", *TABLE_ARGS], "usage: qshare table "),
         (["family", "--tol", "5"], "usage: qshare family "),
         (["verify", "--tol", "-1"], "usage: qshare verify "),
         (["singlet", "--restarts", "5"], "usage: qshare singlet "),
         (["singlet", "--seed", "3"], "usage: qshare singlet "),
         (["table", "--grid-step", "0.05"], "usage: qshare table "),
+        (["table", "--strict", *TABLE_ARGS], "usage: qshare table "),
+        (["singlet", "--strict"], "usage: qshare singlet "),
+        (["family", "--strict"], "usage: qshare family "),
+        (["verify", "--strict"], "usage: qshare verify "),
     ],
     ids=[
         "singlet-tol-nan",
@@ -94,6 +98,10 @@ def test_table_fails_below_the_crossing(capsys, lowered_peak_solve):
         "singlet-restarts",
         "singlet-seed",
         "table-grid-step",
+        "table-strict",
+        "singlet-strict",
+        "family-strict",
+        "verify-strict",
     ],
 )
 def test_bad_tolerance_or_grid_step_exits_2(capsys, monkeypatch, argv, err_start):
@@ -246,16 +254,40 @@ def test_verify_text_prints_pass_lines(capsys):
     assert "[FAIL]" not in out
 
 
-def test_werner_fit_failure_exits_1_only_when_strict(capsys):
-    # At tolerance 0 the d = 6 marginal's round-off residual fails the fit.
-    argv = ["singlet", "--d", "6", "--tol", "0", "--format", "json"]
-    code, out = run_cli(capsys, argv)
+def test_werner_fit_failure_exits_2(capsys, monkeypatch):
+    # A closed-form marginal that fails its Werner fit is an internal error.
+    monkeypatch.setattr("qshare.cli.werner_fit", lambda rho, d: None)
+    monkeypatch.setattr("qshare.cli.maximize_pair_eof", refuse_to_solve)
+    for argv in (["singlet", "--d", "6"], ["table", *TABLE_ARGS]):
+        code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_subcommands_take_only_their_options():
+    subparsers = build_parser().get_default("subparsers")
+    options = {
+        name: [a.option_strings[0] for a in sub._actions if a.option_strings and a.option_strings[0] != "-h"]
+        for name, sub in subparsers.items()
+    }
+    assert options == {
+        "table": ["--seed", "--restarts", "--format"],
+        "singlet": ["--format", "--d"],
+        "family": ["--seed", "--restarts", "--format", "--a"],
+        "verify": ["--seed", "--restarts", "--format"],
+    }
+
+
+def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
+    # At 10 iterations all 80 restarts of the two multistart solves stop
+    # short, and so does 1 of the 64 one-row continuations.
+    monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 10)
+    code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
-    assert code == 0
-    assert report["results"]["e_f"] is None
-    assert report["warnings"] == ["pair marginal failed the Werner fit at tolerance 0"]
-    code, _ = run_cli(capsys, [*argv, "--strict"])
     assert code == 1
+    assert report["warnings"] == ["81 of 144 restarts did not converge"]
 
 
 def test_unconverged_restarts_exit_1_without_strict(capsys, monkeypatch):

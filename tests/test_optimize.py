@@ -514,9 +514,9 @@ class TestMaximizePairEof:
         calls = []
 
         def recorded(x, a):
-            mixed, value = _continue_mixed_branch(x, a)
+            mixed, value, converged = _continue_mixed_branch(x, a)
             calls.append((a, mixed is not None))
-            return mixed, value
+            return mixed, value, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed))
@@ -536,7 +536,7 @@ class TestMaximizePairEof:
         def synthetic(x, a):
             mixed = lower < a < upper
             calls.append((a, mixed))
-            return (x if mixed else None), (1.0 if mixed else vertex_value(a))
+            return (x if mixed else None), (1.0 if mixed else vertex_value(a)), True
 
         def certified(a, config):
             # The certificate solve at a_star ends on a basis vertex, at V(a_star).
@@ -573,10 +573,10 @@ class TestMaximizePairEof:
         continued = []
 
         def recorded(x, a):
-            mixed, value = _continue_mixed_branch(x, a)
+            mixed, value, converged = _continue_mixed_branch(x, a)
             if mixed is not None:
                 continued.append((a, mixed))
-            return mixed, value
+            return mixed, value, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         maximize_pair_eof(FAST)
@@ -620,8 +620,8 @@ class TestMaximizePairEof:
 
     def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
         def raised(x, a):
-            mixed, value = _continue_mixed_branch(x, a)
-            return mixed, value + 1e-2
+            mixed, value, converged = _continue_mixed_branch(x, a)
+            return mixed, value + 1e-2, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", raised)
         with pytest.raises(RuntimeError, match="exceeds V"):
