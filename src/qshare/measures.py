@@ -150,6 +150,8 @@ def _trace_with_swap(rho, d):
 def werner_concurrence(rho, d) -> float:
     """-Tr(rho F); plays the concurrence role for Werner states when >= 0."""
     d = int(d)
+    if d < 2:
+        raise ValueError(f"a Werner pair needs d >= 2, got {d}")
     rho = check_density_matrix(rho, d * d)
     c = -_trace_with_swap(rho, d)
     if abs(c.imag) > 1e-10:
@@ -164,6 +166,8 @@ def werner_fit(rho, d):
     ``WERNER_TOLERANCE``, otherwise ``None`` (an explicit not-Werner verdict).
     """
     d = int(d)
+    if d < 2:
+        raise ValueError(f"a Werner pair needs d >= 2, got {d}")
     rho = check_density_matrix(rho, d * d)
     t_id = float(np.trace(rho).real)
     t_sw = float(_trace_with_swap(rho, d).real)
@@ -171,8 +175,10 @@ def werner_fit(rho, d):
     den = float(d * d) * float(d * d - 1)
     a_w = (d * d * t_id - d * t_sw) / den
     b_w = (d * d * t_sw - d * t_id) / den
-    fitted = a_w * np.identity(d * d) + b_w * swap_operator(d)
-    residual = float(np.max(np.abs(rho - fitted)))
+    misfit = swap_operator(d)  # a_w I + b_w F, then rho minus it, in one buffer
+    misfit *= b_w
+    misfit.flat[:: d * d + 1] += a_w
+    residual = float(np.max(np.abs(np.subtract(rho, misfit, out=misfit))))
     if residual > WERNER_TOLERANCE:
         return None
     return WernerParams(a_w=a_w, b_w=b_w, d=d, residual=residual)

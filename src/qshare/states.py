@@ -85,7 +85,11 @@ def singlet_pair_reduced(d):
     d = int(d)
     if d < 2:
         raise ValueError("d must be at least 2")
-    return (np.identity(d * d) - swap_operator(d)) / (d * (d - 1))
+    rho = swap_operator(d)
+    np.subtract(0.0, rho, out=rho)  # 0 - F, not -F, keeps the zeros positive as in I - F
+    rho.flat[:: d * d + 1] += 1.0
+    rho /= d * (d - 1)
+    return rho
 
 
 def _flat3(i, j, k):

@@ -214,6 +214,31 @@ class TestWernerQuantities:
                 linear, abs=1e-10
             )
 
+    def test_fit_residual_matches_the_dense_misfit(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            d = int(rng.integers(2, 8))
+            b_w = float(rng.uniform(-1.0 / (d * (d - 1)), 1.0 / (d * (d + 1))))
+            a_w = (1.0 - b_w * d) / (d * d)
+            identity, swap = np.identity(d * d), swap_operator(d)
+            rho = a_w * identity + b_w * swap
+            fit = werner_fit(rho, d)
+            assert fit is not None
+            dense = float(np.max(np.abs(rho - (fit.a_w * identity + fit.b_w * swap))))
+            assert fit.residual == pytest.approx(dense, rel=0.0, abs=1e-15)
+
+    def test_fit_rejects_a_perturbed_werner_state(self):
+        rho = np.eye(9) / 9
+        rho[0, 1] = rho[1, 0] = 1e-8
+        assert werner_fit(rho, 3) is None
+
+    def test_rejects_fewer_than_two_levels(self):
+        # The Gram system over span{I, F} is singular at d = 1, where I = F.
+        for d in (1, 0, -1):
+            for measure in (werner_fit, werner_concurrence, werner_eof):
+                with pytest.raises(ValueError, match="d >= 2"):
+                    measure(np.eye(1), d)
+
     def test_fit_rejects_w_state_pair(self):
         pair = reduced_density_matrix(w_state(3), (2, 2, 2), (0, 1))
         assert werner_fit(pair, 2) is None

@@ -93,8 +93,35 @@ def test_werner_fit_round_trips(d, p):
 )
 def test_density_check_accepts_exactly_the_spectra_above_tolerance(n, complex_entries, seed, lowest):
     rho = planted_density(np.random.default_rng(seed), n, lowest, complex_entries)
+    assert_accepted_exactly_above_tolerance(rho)
+
+
+@given(
+    n=st.integers(2, 9),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.floats(-3e-10, 1e-10),
+    coupling=st.floats(0.0, 1e-10),
+)
+def test_density_check_of_diagonally_dominant_matrices(n, complex_entries, seed, lowest, coupling):
+    # A diagonal with one entry near zero plus couplings up to 1e-10: the
+    # Gershgorin bound straddles -PSD_TOLERANCE / 2, so some draws are
+    # certified by it and the rest go on to the factorization.
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    rho = np.diag(np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])).astype(complex)
+    off = rng.uniform(-1.0, 1.0, (n, n)) + (1j * rng.uniform(-1.0, 1.0, (n, n)) if complex_entries else 0.0)
+    off = coupling * np.triu(off, 1)
+    rho += off + off.conj().T
+    order = rng.permutation(n)
+    rho = rho[np.ix_(order, order)]
+    assume(abs(np.linalg.eigvalsh(rho)[0] + PSD_TOLERANCE) >= 1e-12)
+    assert_accepted_exactly_above_tolerance(rho)
+
+
+def assert_accepted_exactly_above_tolerance(rho):
     try:
-        check_density_matrix(rho, n)
+        check_density_matrix(rho, rho.shape[0])
         accepted = True
     except ValueError:
         accepted = False

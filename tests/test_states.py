@@ -103,6 +103,12 @@ class TestSingletPairReduced:
         expected = (np.eye(9) - swap_operator(3)) / 6.0
         assert np.array_equal(singlet_pair_reduced(3), expected)
 
+    def test_bitwise_equal_to_the_dense_form(self):
+        # Built in place from F; every bit, signed zeros included, matches (I - F) / (d(d-1)).
+        for d in range(2, 31):
+            dense = (np.identity(d * d) - swap_operator(d)) / (d * (d - 1))
+            assert singlet_pair_reduced(d).tobytes() == dense.tobytes()
+
     def test_two_levels_is_singlet_projector(self):
         psi = singlet_state(2)
         assert np.max(np.abs(singlet_pair_reduced(2) - np.outer(psi, psi.conj()))) < 1e-15
