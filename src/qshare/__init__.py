@@ -14,7 +14,6 @@ from .measures import (
     eof_from_concurrence,
     pure_entanglement,
     qubit_concurrence,
-    qubit_concurrence_pure,
     qubit_eof,
     shannon_entropy,
     werner_concurrence,

@@ -46,6 +46,15 @@ def _as_square_matrix(m, name="matrix"):
     return arr
 
 
+def _check_hermitian(m, name):
+    """``m``, or its real view if it has no imaginary part; max |m - m^dagger| must be at most ``_ROUND_OFF``."""
+    work = m if np.any(m.imag) else m.real
+    dev = float(np.max(np.abs(work - work.conj().T)))
+    if dev > _ROUND_OFF:
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
+    return work
+
+
 def _subsystems(keep, n, name="keep"):
     """Normalize a subsystem selection to a sorted tuple of valid indices."""
     keep = tuple(sorted({int(k) for k in keep}))
@@ -94,10 +103,7 @@ def check_density_matrix(rho, dim=None):
     n = rho.shape[0]
     if dim is not None and n != int(dim):
         raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
-    work = rho if np.any(rho.imag) else rho.real
-    herm_dev = float(np.max(np.abs(work - work.conj().T)))
-    if herm_dev > _ROUND_OFF:
-        raise ValueError(f"rho is not Hermitian: max deviation {herm_dev:.3e}")
+    work = _check_hermitian(rho, "rho")
     trace_dev = abs(np.trace(rho) - 1.0)
     if trace_dev > _ROUND_OFF:
         raise ValueError(f"rho does not have unit trace: deviation {trace_dev:.3e}")
@@ -180,9 +186,7 @@ def hermitian_eigensystem(h):
     output satisfies H = V diag(w) V^dagger to the solver's accuracy.
     """
     h = _as_square_matrix(h, "H")
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > _ROUND_OFF:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    _check_hermitian(h, "matrix")
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
 

@@ -26,7 +26,6 @@ __all__ = [
     "binary_entropy",
     "eof_from_concurrence",
     "pure_entanglement",
-    "qubit_concurrence_pure",
     "qubit_concurrence",
     "qubit_eof",
     "WERNER_TOLERANCE",
@@ -94,17 +93,6 @@ def eof_from_concurrence(c) -> float:
 def pure_entanglement(psi, dims, cut):
     """Entropy of either reduced state across ``cut`` in bits, per row for a stack of states."""
     return shannon_entropy(schmidt_spectrum(psi, dims, cut))
-
-
-def qubit_concurrence_pure(psi) -> float:
-    """Concurrence of a two-qubit pure state: twice the root of det(rho_A)."""
-    psi, _ = check_pure_state(psi, (2, 2))
-    if psi.ndim != 1:
-        raise ValueError("state must be a flat amplitude vector")
-    m = psi.reshape(2, 2)
-    rho_a = m @ m.conj().T
-    det = float(np.linalg.det(rho_a).real)
-    return 2.0 * math.sqrt(max(det, 0.0))
 
 
 def qubit_concurrence(rho) -> float:

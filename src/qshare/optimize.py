@@ -102,11 +102,11 @@ class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
     ``scan_trace`` lists the traced points as (a, value) in trace order: the
-    multistart solve at a = 1/2, the points of the outward march along the
-    mixed branch as (a, min(V(a), M(a))), down the lower side first, then
-    the multistart solve at ``a_star`` that certifies the peak.  Bisection
-    points, halved in lockstep on both brackets until one's V(a) range lies
-    below the other's and then on the survivor alone, are not listed.
+    multistart solve at a = 1/2, the full steps of the outward march along
+    the mixed branch as (a, min(V(a), M(a))) in the best-first order of
+    :func:`maximize_pair_eof`, then the multistart solve at ``a_star`` that
+    certifies the peak.  The halved steps that bisect a crossing are not
+    listed.
     ``e_star`` is the vertex value V(a_star), at least every traced value.
     ``restarts`` counts every L-BFGS run of the scan, the restarts of both
     multistart solves and each one-row continuation of the mixed branch, and
@@ -431,17 +431,16 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
     the mixed-branch minimum M(a), and it peaks where the two cross.  A
-    multistart solve at a = 1/2 seeds the mixed branch, which is continued
-    outward both ways in steps of ``_TRACE_STEP`` up to the first point on the
-    vertex side.  The two brackets are bisected in lockstep, one halving of
-    each per round, each side continuing the branch from its own latest
-    mixed-side minimizer: from a vertex-side point the crossing lies toward
-    a = 1/2, from a mixed-side one away from it.  V is monotone on each side
-    of a = 1/2, so a bracket's crossing has V between V(lo) and V(hi); a
-    bracket whose largest V falls below the other's smallest is dropped, and
-    the rest reach floating-point width.  ``a_star`` is the crossing with the
-    larger V(a), and ``e_star`` is V(``a_star``).  Every continued point is
-    feasible, so min(V, M) bounds the span minimum from above.
+    multistart solve at a = 1/2 seeds the mixed branch, which each side
+    continues outward from its latest mixed-side minimizer, in steps of
+    ``_TRACE_STEP`` up to its first point on the vertex side and halved after
+    every point from there on, which bisects its crossing.  V peaks at a = 1/2
+    and is monotone on each side, so V at a side's latest mixed-side weight
+    bounds its crossing's value.  Each step goes to the side with the larger
+    bound, the lower side on a tie, and the scan stops when that side's step
+    no longer moves its weight: that weight is ``a_star``, and ``e_star`` =
+    V(``a_star``) is at least the other crossing's value.  Every continued
+    point is feasible, so min(V, M) bounds the span minimum from above.
     Raises ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex
     minimizer, if a traced value exceeds ``e_star``, or if a multistart solve
     at ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
@@ -452,30 +451,25 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
     trace = [(0.5, seed.value)]
     continued = []  # whether each continuation converged
-    brackets = []  # (latest mixed-side minimizer, lo, hi) per side, lower side first
-    for step in (-_TRACE_STEP, _TRACE_STEP):
-        x, mixed, k = seed.argmin, seed.argmin, 0
-        while mixed is not None:  # x is the latest mixed-side minimizer
-            x, k = mixed, k + 1
-            mixed, value, converged = _continue_mixed_branch(x, 0.5 + k * step)
-            trace.append((0.5 + k * step, value))
-            continued.append(converged)
-        brackets.append((x, *sorted((0.5 + (k - 1) * step, 0.5 + k * step))))
 
     def vertex(a):
         return _vertex_entanglement(ResidueFamily.from_a(a))
 
-    while any(lo < (lo + hi) / 2 < hi for _, lo, hi in brackets):
-        for i, (x, lo, hi) in enumerate(brackets):
-            a = (lo + hi) / 2
-            if lo < a < hi:
-                mixed, _, converged = _continue_mixed_branch(x, a)
-                continued.append(converged)
-                brackets[i] = (x if mixed is None else mixed, *((a, hi) if (mixed is None) == (a < 0.5) else (lo, a)))
-        if len(brackets) == 2:  # drop the bracket whose V range lies below the other's
-            (low, high), (other_low, other_high) = (sorted((vertex(lo), vertex(hi))) for _, lo, hi in brackets)
-            brackets = [bracket for bracket, kept in zip(brackets, (high >= other_low, other_high >= low)) if kept]
-    a = max(((lo + hi) / 2 for _, lo, hi in brackets), key=vertex)
+    # Per side, lower first: latest mixed-side minimizer, its weight a, step h, vertex side reached.
+    sides = [[seed.argmin, 0.5, step, False] for step in (-_TRACE_STEP, _TRACE_STEP)]
+    while True:
+        side = max(sides, key=lambda s: vertex(s[1]))
+        x, a, h, crossed = side
+        if a + h == a:
+            break
+        mixed, value, converged = _continue_mixed_branch(x, a + h)
+        continued.append(converged)
+        if not crossed:
+            trace.append((a + h, value))
+        if mixed is not None:
+            x, a = mixed, a + h
+        crossed = crossed or mixed is None
+        side[:] = x, a, (h / 2 if crossed else h), crossed
     e_star = vertex(a)
     peak_a, peak = max(trace, key=lambda t: t[1])
     if peak > e_star:

@@ -9,7 +9,7 @@ import pytest
 import qshare
 from qshare.checks import CheckResult, family_checks, run_all_checks, singlet_cross_check
 from qshare.cli import CSV_HEADER, build_parser, main
-from qshare.optimize import OptimizationConfig
+from qshare.optimize import OptimizationConfig, _continue_mixed_branch
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
 
 # Fast-but-meaningful CLI settings for tests; the acceptance module runs the
@@ -282,12 +282,25 @@ def test_subcommands_take_only_their_options():
 
 def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
     # At 10 iterations all 80 restarts of the two multistart solves stop
-    # short, and so does 1 of the 64 one-row continuations.
+    # short; each of the 64 one-row continuations converges within them.
     monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 10)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["81 of 144 restarts did not converge"]
+    assert report["warnings"] == ["80 of 144 restarts did not converge"]
+
+    # A continuation that stops short is counted too.
+    calls = []
+
+    def first_stops_short(x, a):
+        mixed, value, converged = _continue_mixed_branch(x, a)
+        calls.append(a)
+        return mixed, value, converged and len(calls) > 1
+
+    monkeypatch.setattr("qshare.optimize._continue_mixed_branch", first_stops_short)
+    code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
+    assert code == 1
+    assert json.loads(out)["warnings"] == ["81 of 144 restarts did not converge"]
 
 
 def test_unconverged_restarts_exit_1_without_strict(capsys, monkeypatch):

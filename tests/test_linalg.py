@@ -13,7 +13,7 @@ from qshare.linalg import (
     schmidt_spectrum,
     swap_operator,
 )
-from qshare.measures import pure_entanglement, qubit_concurrence_pure
+from qshare.measures import pure_entanglement
 from qshare.states import cyclic_permute, singlet_pair_reduced
 
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -179,7 +179,6 @@ def test_single_state_functions_reject_a_stack():
     # tells it apart from a flat state.
     cases = [
         (lambda psi: reduced_density_matrix(psi, (2, 2), (0,)), SINGLET2),
-        (qubit_concurrence_pure, SINGLET2),
         (lambda psi: cyclic_permute(psi, (2, 2, 2)), np.eye(8)[0]),
     ]
     for single, psi in cases:

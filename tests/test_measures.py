@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from qshare.measures import (
     eof_from_concurrence,
     pure_entanglement,
     qubit_concurrence,
-    qubit_concurrence_pure,
     qubit_eof,
     shannon_entropy,
     werner_concurrence,
@@ -28,6 +29,14 @@ SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 def random_state(rng, dim):
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def qubit_concurrence_pure(psi):
+    """Concurrence of a two-qubit pure state, twice the root of det(rho_A):
+    the oracle that ``qubit_concurrence`` is checked against."""
+    m = np.asarray(psi).reshape(2, 2)
+    det = float(np.linalg.det(m @ m.conj().T).real)
+    return 2.0 * math.sqrt(max(det, 0.0))
 
 
 class TestShannonEntropy:

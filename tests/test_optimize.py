@@ -42,46 +42,6 @@ def vertex_value(a):
     return _vertex_entanglement(ResidueFamily.from_a(a))
 
 
-def v_range(bracket):
-    return sorted(vertex_value(a) for a in bracket)
-
-
-def replay_bisection(calls, march):
-    """Replay a scan's bisection from its continuations, (a, on the mixed side) in call order.
-
-    The first ``march`` continuations are the outward march; each later one
-    must be the midpoint of its side's bracket.  Returns the bisection points
-    as (side, a), side 0 below a = 1/2 and 1 above, and per side the bracket
-    before its first point and after each of them.
-    """
-    marched = [[a for a, _ in calls[:march] if (a > 0.5) == side] for side in (0, 1)]
-    brackets = [[sorted((on_side[-1], on_side[-2] if len(on_side) > 1 else 0.5))] for on_side in marched]
-    points = []
-    for a, mixed in calls[march:]:
-        side = int(a > 0.5)
-        lo, hi = brackets[side][-1]
-        assert a == (lo + hi) / 2
-        brackets[side].append((a, hi) if (not mixed) == (a < 0.5) else (lo, a))
-        points.append((side, a))
-    return points, brackets
-
-
-def check_lockstep_drop(points, brackets, winner):
-    """Both sides halve in turn until the loser's V range lies below the
-    winner's, then the winner alone to floating-point width.  Returns the
-    winner's final bracket."""
-    dropped = len(brackets[1 - winner]) - 1
-    assert [side for side, _ in points[: 2 * dropped]] == [0, 1] * dropped
-    # The drop comes after the first round whose brackets separate in V.
-    assert v_range(brackets[1 - winner][dropped])[1] < v_range(brackets[winner][dropped])[0]
-    assert v_range(brackets[1 - winner][dropped - 1])[1] >= v_range(brackets[winner][dropped - 1])[0]
-    lo, hi = brackets[winner][dropped]
-    assert all(side == winner and lo < a < hi for side, a in points[2 * dropped :])
-    final_lo, final_hi = brackets[winner][-1]
-    assert final_hi == np.nextafter(final_lo, 1.0)
-    return final_lo, final_hi
-
-
 def random_coeffs(rng):
     z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     return z / np.linalg.norm(z)
@@ -507,10 +467,11 @@ class TestMaximizePairEof:
             assert abs(scan.e_star - 1.9943982236727) <= 1e-12
 
     @pytest.mark.parametrize("seed", (0, 11))
-    def test_bisection_drops_the_losing_bracket(self, monkeypatch, seed):
-        # The upper crossing (a = 0.539, 5.5e-4 below E*) is halved only until
-        # its V range falls below the lower bracket's.  Halving it to
-        # floating-point width as well takes 107 continuations in all.
+    def test_best_first_refines_the_larger_bound(self, monkeypatch, seed):
+        # V falls away from a = 1/2, so V at a side's latest mixed-side weight
+        # bounds its crossing; each continuation goes to the side whose bound
+        # is larger, the lower side on a tie.  The upper crossing (a = 0.539,
+        # 5.5e-4 below E*) stops once its bound falls below the lower one's.
         calls = []
 
         def recorded(x, a):
@@ -520,14 +481,20 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed))
-        assert len(calls) <= 70
-        lo, hi = check_lockstep_drop(*replay_bisection(calls, len(scan.scan_trace) - 2), winner=0)
-        assert scan.a_star in (lo, hi)
+        assert len(calls) <= 64
+        latest = [0.5, 0.5]  # latest mixed-side weight per side, lower side first
+        for a, mixed in calls:
+            lower_bound, upper_bound = (vertex_value(w) for w in latest)
+            assert (a > 0.5) == (upper_bound > lower_bound)
+            if mixed:
+                latest[a > 0.5] = a
+        assert vertex_value(latest[0]) > vertex_value(latest[1])
+        assert scan.a_star == latest[0]
 
     def test_bisection_drops_the_lower_bracket_when_it_loses(self, monkeypatch):
         # A synthetic mixed branch on (0.4587, 0.5391): its upper crossing has
-        # the larger V, 1.2e-4 above the lower one's, so the lower bracket is
-        # dropped once the V ranges separate, after a few rounds.
+        # the larger V, 1.2e-4 above the lower one's, so the lower side stops
+        # once its bound falls below the upper side's, after a few halvings.
         lower, upper = 0.4587, 0.5391
         assert vertex_value(lower) < vertex_value(upper) - 1e-4
 
@@ -535,7 +502,7 @@ class TestMaximizePairEof:
 
         def synthetic(x, a):
             mixed = lower < a < upper
-            calls.append((a, mixed))
+            calls.append(a)
             return (x if mixed else None), (1.0 if mixed else vertex_value(a)), True
 
         def certified(a, config):
@@ -548,11 +515,9 @@ class TestMaximizePairEof:
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", synthetic)
         monkeypatch.setattr("qshare.optimize.min_span_entanglement", certified)
         scan = maximize_pair_eof(FAST)
-        points, brackets = replay_bisection(calls, len(scan.scan_trace) - 2)
-        assert len(brackets[0]) > 2
-        assert check_lockstep_drop(points, brackets, winner=1) == (np.nextafter(upper, 0.0), upper)
         assert scan.a_star in (np.nextafter(upper, 0.0), upper)
         assert scan.e_star == vertex_value(scan.a_star)
+        assert sum(a < 0.5 for a in calls) < 12
 
     def test_continued_envelope_matches_multistart(self):
         # Where V(a) >= E*, min(V, M) on the continued branch matches the
