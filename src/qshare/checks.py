@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    hermitian_eigensystem,
-    partial_trace,
-    reduced_density_matrix,
-    schmidt_spectrum,
-    swap_operator,
-)
+from .linalg import hermitian_eigensystem, partial_trace, reduced_density_matrix, schmidt_spectrum, swap_operator
 from .measures import (
     eof_from_concurrence,
     pure_entanglement,
@@ -29,14 +23,7 @@ from .measures import (
     werner_eof,
     werner_fit,
 )
-from .optimize import (
-    PAIR_CUT,
-    PAIR_DIMS,
-    OptimizationConfig,
-    min_span_entanglement,
-    pair_eof,
-    span_entanglement,
-)
+from .optimize import PAIR_CUT, PAIR_DIMS, OptimizationConfig, min_span_entanglement, pair_eof, span_entanglement
 from .states import (
     MODULUS,
     ResidueFamily,
@@ -88,10 +75,6 @@ def _random_special_unitary(rng, d):
     qmat = qmat * (np.diag(r) / np.abs(np.diag(r)))
     det = np.linalg.det(qmat)
     return qmat / det ** (1.0 / d)
-
-
-def _random_coeffs(rng):
-    return _random_state(rng, MODULUS)
 
 
 def linalg_checks(rng) -> list[CheckResult]:
@@ -243,7 +226,7 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
         fam_a = ResidueFamily.from_a(float(a))
         target = fam_a.pair_density()
         for _ in range(10):
-            coeffs = _random_coeffs(rng)
+            coeffs = _random_state(rng, MODULUS)
             dec = orbit_decomposition(coeffs, fam_a)
             recon_dev = max(recon_dev, float(np.max(np.abs(dec.mixture() - target))))
             spread = max(spread, float(np.ptp(pure_entanglement(dec.states, PAIR_DIMS, PAIR_CUT))))
@@ -310,7 +293,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     for a in (0.3, 0.5, 0.75):
         result = min_span_entanglement(a, config)
         for _ in range(20):
-            dev = max(dev, result.value - span_entanglement(_random_coeffs(rng), a))
+            dev = max(dev, result.value - span_entanglement(_random_state(rng, MODULUS), a))
         witness_dev = max(witness_dev, abs(span_entanglement(result.argmin, a) - result.value))
     out.append(_result("minimum lower-bounds sampled span states", max(dev, 0.0), 1e-8))
     out.append(_result("argmin reproduces the reported value", witness_dev, 1e-10))
@@ -330,7 +313,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     out.append(CheckResult("multistart is deterministic for a fixed seed", deterministic, f"seed {config.seed}"))
 
     # Phase gauge and the symmetry orbit leave the objective unchanged.
-    coeffs = _random_coeffs(rng)
+    coeffs = _random_state(rng, MODULUS)
     phase = np.exp(1j * float(rng.uniform(0.0, 2.0 * np.pi)))
     gauge_dev = abs(span_entanglement(gauge_fix(phase * coeffs), 0.5) - span_entanglement(coeffs, 0.5))
     out.append(_result("global phase does not change the objective", gauge_dev, 1e-12))

@@ -47,9 +47,7 @@ def _resolve_seed(args):
 
 
 def _config_from_args(args):
-    restarts = args.restarts
-    if restarts is None:
-        restarts = _DEFAULT_RESTARTS[args.command]
+    restarts = _DEFAULT_RESTARTS[args.command] if args.restarts is None else args.restarts
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
@@ -125,11 +123,7 @@ def run_family(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "family",
-        "inputs": {
-            "a": family.a,
-            "seed": config.seed,
-            "restarts": config.restarts,
-        },
+        "inputs": {"a": family.a, "seed": config.seed, "restarts": config.restarts},
         "results": {
             "b": family.b,
             "min_entanglement": result.value,
@@ -138,10 +132,7 @@ def run_family(args) -> dict:
             "iterations_used": result.iterations_used,
             "nontrivial_minimizer": result.nontrivial_minimizer,
         },
-        "residuals": {
-            "decomposition_reconstruction": reconstruction,
-            "decomposition_average_gap": average_gap,
-        },
+        "residuals": {"decomposition_reconstruction": reconstruction, "decomposition_average_gap": average_gap},
         "warnings": warnings,
     }
 
@@ -166,9 +157,7 @@ def run_verify(args) -> dict:
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
 def _render_text(report) -> str:

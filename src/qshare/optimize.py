@@ -18,25 +18,15 @@ from .measures import Decomposition, pure_entanglement, shannon_entropy
 from .states import MODULUS, ResidueFamily, orbit_decomposition
 
 __all__ = [
-    "PAIR_DIMS",
-    "PAIR_CUT",
-    "OptimizationConfig",
-    "OptimizationResult",
-    "ScanResult",
-    "span_entanglement",
-    "min_span_entanglement",
-    "average_entanglement",
-    "orbit_certificate",
-    "pair_eof",
-    "maximize_pair_eof",
+    "PAIR_DIMS", "PAIR_CUT", "OptimizationConfig", "OptimizationResult", "ScanResult", "span_entanglement",
+    "min_span_entanglement", "average_entanglement", "orbit_certificate", "pair_eof", "maximize_pair_eof",
 ]
 
 PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
-# A near-best restart, or a point of the scan's continued mixed branch, whose
-# largest squared coefficient is at most this is off-vertex: a mixed-branch
-# minimizer, such as the scan's seed solve at a = 1/2 must find.
+# A near-best restart whose largest squared coefficient is at most this is
+# off-vertex: a mixed-branch minimizer, such as the seed solve at a = 1/2 needs.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -52,6 +42,10 @@ _STEP_TOLERANCE = 1e-12
 
 # Step of the outward march along the mixed branch from a = 1/2.
 _TRACE_STEP = 0.005
+# Newton on the mixed branch: iteration cap, difference step, tolerance in a.
+_NEWTON_ITERATIONS = 10
+_DIFFERENCE_STEP = 1e-5
+_CROSSING_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -101,16 +95,15 @@ class OptimizationResult:
 class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
-    ``scan_trace`` lists the traced points as (a, value) in trace order: the
-    multistart solve at a = 1/2, the full steps of the outward march along
-    the mixed branch as (a, min(V(a), M(a))) in the best-first order of
-    :func:`maximize_pair_eof`, then the multistart solve at ``a_star`` that
-    certifies the peak.  The halved steps that bisect a crossing are not
-    listed.
+    ``scan_trace`` lists (a, value) for the multistart solve at a = 1/2, the
+    march points of the mixed branch as (a, min(V(a), M(a))), lower side
+    first, and the multistart solve at ``a_star`` that certifies the peak.
     ``e_star`` is the vertex value V(a_star), at least every traced value.
-    ``restarts`` counts every L-BFGS run of the scan, the restarts of both
-    multistart solves and each one-row continuation of the mixed branch, and
-    ``failed_restarts`` those that did not converge.
+    ``restarts`` counts the restarts of both multistart solves and each
+    Newton corrector solve, ``failed_restarts`` those that did not converge.
+    ``crossing_error`` = |g / g'| at ``a_star`` for g = M - V, and
+    ``hessian_min`` the smallest tangent Hessian eigenvalue of the mixed
+    minimizer there: positive at a strict local minimum.
     """
 
     a_star: float
@@ -118,6 +111,8 @@ class ScanResult:
     scan_trace: tuple[tuple[float, float], ...]
     restarts: int
     failed_restarts: int
+    crossing_error: float
+    hessian_min: float
 
 
 def _vertex_entanglement(family: ResidueFamily) -> float:
@@ -412,18 +407,41 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
     return result.value
 
 
-def _continue_mixed_branch(x, a):
-    """Mixed-branch minimizer at ``a`` warm-started at ``x`` (None on the vertex side), and min(V(a), M(a)).
+def _tangent_hessian(objective: _SpanObjective, x):
+    """Tangent gradient P g and Riemannian Hessian P sym(H) P at the unit point ``x``.
 
-    The vertex side is a run that ends not below V(a) or on a basis vertex:
-    far past the crossing the branch collapses onto one, at V(a) to round-off.
-    A third value tells whether the run converged.
+    P = I - x x^T, and H holds central differences of the exact gradient g,
+    all 15 rows in one call; f is scale-free, so x^T g = 0.
     """
+    probes = _DIFFERENCE_STEP * np.eye(MODULUS)
+    _, grads = objective.value_and_grad(np.concatenate([x[None], x + probes, x - probes]))
+    tangent = np.eye(MODULUS) - np.outer(x, x)
+    hessian = (grads[1 : MODULUS + 1] - grads[MODULUS + 1 :]) / (2.0 * _DIFFERENCE_STEP)
+    return tangent @ grads[0], tangent @ (0.5 * (hessian + hessian.T)) @ tangent
+
+
+def _continue_mixed_branch(x, a):
+    """Mixed-branch point at ``a`` by Riemannian Newton from ``x``: (x, g(a), g'(a), converged).
+
+    Each iteration solves (P H P + x x^T) s = -P g and retracts x + s onto the
+    sphere, until |s| <= ``_STEP_TOLERANCE``; a singular system or the
+    iteration cap fails the solve.  g = M - V, and g' (by the envelope
+    theorem) is its central difference in a at the final, fixed x.
+    """
+    converged = False
     objective = _SpanObjective(ResidueFamily.from_a(a))
-    x, _, converged = _lbfgs(objective, x[None])
-    coeffs, values = _finish(objective, x)
-    mixed = values[0] < objective.vertex_value and np.max(coeffs[0] ** 2) <= _VERTEX_WEIGHT
-    return (coeffs[0] if mixed else None), float(values[0]), bool(converged[0])
+    for _ in range(_NEWTON_ITERATIONS):
+        grad, hessian = _tangent_hessian(objective, x)
+        try:
+            step = np.linalg.solve(hessian + np.outer(x, x), -grad)
+        except np.linalg.LinAlgError:
+            break
+        x = (x + step) / np.linalg.norm(x + step)
+        if converged := np.linalg.norm(step) <= _STEP_TOLERANCE:
+            break
+    ends = [_SpanObjective(ResidueFamily.from_a(a + t)) for t in (0.0, _DIFFERENCE_STEP, -_DIFFERENCE_STEP)]
+    gap, up, down = (float(end.entanglement(x[None])[0]) - end.vertex_value for end in ends)
+    return x, gap, (up - down) / (2.0 * _DIFFERENCE_STEP), bool(converged)
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
@@ -431,46 +449,45 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
     the mixed-branch minimum M(a), and it peaks where the two cross.  A
-    multistart solve at a = 1/2 seeds the mixed branch, which each side
-    continues outward from its latest mixed-side minimizer, in steps of
-    ``_TRACE_STEP`` up to its first point on the vertex side and halved after
-    every point from there on, which bisects its crossing.  V peaks at a = 1/2
-    and is monotone on each side, so V at a side's latest mixed-side weight
-    bounds its crossing's value.  Each step goes to the side with the larger
-    bound, the lower side on a tie, and the scan stops when that side's step
-    no longer moves its weight: that weight is ``a_star``, and ``e_star`` =
-    V(``a_star``) is at least the other crossing's value.  Every continued
-    point is feasible, so min(V, M) bounds the span minimum from above.
-    Raises ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex
-    minimizer, if a traced value exceeds ``e_star``, or if a multistart solve
-    at ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
+    multistart solve at a = 1/2 seeds the mixed branch.  Each side marches
+    from there in steps of ``_TRACE_STEP`` (:func:`_continue_mixed_branch`)
+    until g = M - V >= 0, then takes Newton steps in a on g until one is at
+    most ``_CROSSING_TOLERANCE``; a crossing not settled within
+    ``_NEWTON_ITERATIONS`` steps fails its last solve.  ``a_star`` is the
+    root with the larger V (the lower on a tie), and ``e_star`` = V(a_star).
+    Each corrected point is feasible: min(V, M) bounds the minimum.  Raises
+    ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex minimizer,
+    if a traced value exceeds ``e_star``, or if a multistart solve at
+    ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
     ``e_star`` or fails :func:`orbit_certificate`.
     """
     seed = min_span_entanglement(0.5, config)
     if not seed.nontrivial_minimizer:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
     trace = [(0.5, seed.value)]
-    continued = []  # whether each continuation converged
+    converged = []  # per corrector solve
 
     def vertex(a):
         return _vertex_entanglement(ResidueFamily.from_a(a))
 
-    # Per side, lower first: latest mixed-side minimizer, its weight a, step h, vertex side reached.
-    sides = [[seed.argmin, 0.5, step, False] for step in (-_TRACE_STEP, _TRACE_STEP)]
-    while True:
-        side = max(sides, key=lambda s: vertex(s[1]))
-        x, a, h, crossed = side
-        if a + h == a:
-            break
-        mixed, value, converged = _continue_mixed_branch(x, a + h)
-        continued.append(converged)
-        if not crossed:
-            trace.append((a + h, value))
-        if mixed is not None:
-            x, a = mixed, a + h
-        crossed = crossed or mixed is None
-        side[:] = x, a, (h / 2 if crossed else h), crossed
-    e_star = vertex(a)
+    def crossing(h):
+        x, a, gap = seed.argmin, 0.5, -np.inf
+        while gap < 0.0:
+            a += h
+            x, gap, slope, ok = _continue_mixed_branch(x, a)
+            converged.append(ok)
+            trace.append((a, vertex(a) + min(gap, 0.0)))
+        for _ in range(_NEWTON_ITERATIONS):
+            if abs(gap / slope) <= _CROSSING_TOLERANCE:
+                break
+            a -= gap / slope
+            x, gap, slope, ok = _continue_mixed_branch(x, a)
+            converged.append(ok)
+        else:
+            converged[-1] = False
+        return vertex(a), a, x, abs(gap / slope)
+
+    e_star, a, x, crossing_error = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])
     peak_a, peak = max(trace, key=lambda t: t[1])
     if peak > e_star:
         raise RuntimeError(f"traced value {peak!r} at a={peak_a} exceeds V(a*) {e_star!r} at a*={a}")
@@ -479,10 +496,15 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     if e_star - result.value > _VALUE_TOLERANCE * e_star:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
     orbit_certificate(result, a)
+    # The normal direction x, lifted above every tangent curvature, drops out.
+    hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x)[1]
+    hessian += (1.0 + np.abs(hessian).sum()) * np.outer(x, x)
     return ScanResult(
         a_star=a,
         e_star=e_star,
         scan_trace=tuple(trace),
-        restarts=len(seed.restart_values) + len(result.restart_values) + len(continued),
-        failed_restarts=len(seed.failed_restarts) + len(result.failed_restarts) + continued.count(False),
+        restarts=len(seed.restart_values) + len(result.restart_values) + len(converged),
+        failed_restarts=len(seed.failed_restarts) + len(result.failed_restarts) + converged.count(False),
+        crossing_error=crossing_error,
+        hessian_min=float(np.linalg.eigvalsh(hessian)[0]),
     )

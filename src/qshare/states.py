@@ -49,11 +49,7 @@ def quadratic_residues(p):
 
 def _perm_sign(perm):
     """Sign of a permutation by inversion count."""
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
     return -1.0 if inversions % 2 else 1.0
 
 

@@ -10,6 +10,7 @@ from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
     PAIR_CUT,
     PAIR_DIMS,
+    _CROSSING_TOLERANCE,
     _MAX_ITERATIONS,
     _STEP_TOLERANCE,
     _VALUE_TOLERANCE,
@@ -20,6 +21,7 @@ from qshare.optimize import (
     _lbfgs,
     _SpanObjective,
     _starts,
+    _tangent_hessian,
     _vertex_entanglement,
     average_entanglement,
     maximize_pair_eof,
@@ -191,6 +193,43 @@ class TestObjectiveGradient:
             f_part, grad_part = objective.value_and_grad(x[lo:hi])
             assert np.array_equal(f_part, f[lo:hi])
             assert np.array_equal(grad_part, grad[lo:hi])
+
+
+class TestNewtonCorrector:
+    @pytest.mark.parametrize("a", [0.3, 0.461, 0.5])
+    def test_tangent_hessian_matches_second_differences(self, a):
+        # x^T g = 0 for the scale-free value, so along a tangent u the
+        # Riemannian Hessian form u^T H u is the second derivative of
+        # f(x + t u); polarization gives the off-diagonal forms.
+        objective = _SpanObjective(ResidueFamily.from_a(a))
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(7)
+        x /= np.linalg.norm(x)
+        grad, hessian = _tangent_hessian(objective, x)
+        _, full = objective.value_and_grad(x[None])
+        assert np.allclose(grad, full[0], atol=1e-15)
+        assert np.allclose(hessian @ x, 0.0, atol=1e-12)
+        tangent = np.eye(7) - np.outer(x, x)
+        step = 1e-4
+
+        def curvature(u):
+            values, _ = objective.value_and_grad(np.array([x + step * u, x, x - step * u]))
+            return (values[0] - 2.0 * values[1] + values[2]) / step**2
+
+        for _ in range(3):
+            u, v = (tangent @ rng.standard_normal((7, 2))).T
+            u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+            assert u @ hessian @ u == pytest.approx(curvature(u), abs=1e-6)
+            assert u @ hessian @ v == pytest.approx((curvature(u + v) - curvature(u - v)) / 4.0, abs=2e-6)
+
+    def test_iteration_cap_fails_the_solve(self, monkeypatch):
+        start = min_span_entanglement(0.5, FAST).argmin
+        x, gap, _, converged = _continue_mixed_branch(start, 0.495)
+        assert converged and gap < 0.0
+        monkeypatch.setattr("qshare.optimize._NEWTON_ITERATIONS", 1)
+        capped, capped_gap, _, converged = _continue_mixed_branch(start, 0.495)
+        assert not converged
+        assert np.all(np.isfinite(capped)) and capped_gap < 0.0
 
 
 class _Quadratic:
@@ -444,7 +483,7 @@ class TestMaximizePairEof:
 
     def test_crossing_does_not_depend_on_the_seed(self):
         a_stars = [fast_scan(seed).a_star for seed in SCAN_SEEDS]
-        assert max(a_stars) - min(a_stars) <= 1e-12
+        assert max(a_stars) - min(a_stars) <= 2e-14
 
     def test_default_grid_certifies_the_crossing(self, monkeypatch):
         solved = []
@@ -463,47 +502,48 @@ class TestMaximizePairEof:
             a, value = scan.scan_trace[-1]
             assert a == scan.a_star
             assert 0.0 <= scan.e_star - value <= 1e-10 * scan.e_star
-            assert abs(scan.a_star - 0.4609984085684) <= 1e-12
+            assert abs(scan.a_star - 0.46099840856814) <= 1e-13
             assert abs(scan.e_star - 1.9943982236727) <= 1e-12
 
-    @pytest.mark.parametrize("seed", (0, 11))
-    def test_best_first_refines_the_larger_bound(self, monkeypatch, seed):
-        # V falls away from a = 1/2, so V at a side's latest mixed-side weight
-        # bounds its crossing; each continuation goes to the side whose bound
-        # is larger, the lower side on a tie.  The upper crossing (a = 0.539,
-        # 5.5e-4 below E*) stops once its bound falls below the lower one's.
+    def test_both_crossings_are_solved_and_the_larger_wins(self, monkeypatch):
+        # Each side marches to its first point past the crossing, then takes
+        # Newton steps in a on g = M - V.  The lower root (a = 0.46100) has
+        # the larger V; the upper one (a = 0.53914, 5.5e-4 lower) loses.
         calls = []
 
         def recorded(x, a):
-            mixed, value, converged = _continue_mixed_branch(x, a)
-            calls.append((a, mixed is not None))
-            return mixed, value, converged
+            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            calls.append((a, gap, slope))
+            return x, gap, slope, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
-        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed))
-        assert len(calls) <= 64
-        latest = [0.5, 0.5]  # latest mixed-side weight per side, lower side first
-        for a, mixed in calls:
-            lower_bound, upper_bound = (vertex_value(w) for w in latest)
-            assert (a > 0.5) == (upper_bound > lower_bound)
-            if mixed:
-                latest[a > 0.5] = a
-        assert vertex_value(latest[0]) > vertex_value(latest[1])
-        assert scan.a_star == latest[0]
+        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=11))
+        roots = []
+        for upper in (False, True):
+            side = [call for call in calls if (call[0] > 0.5) == upper]
+            # The march ends at its first point with g >= 0.
+            marched = [a for a, _, _ in side[: 1 + next(i for i, call in enumerate(side) if call[1] >= 0.0)]]
+            assert np.allclose(np.abs(np.array(marched) - 0.5), 0.005 * np.arange(1, len(marched) + 1))
+            assert abs(side[-1][1] / side[-1][2]) <= _CROSSING_TOLERANCE
+            assert len(side) - len(marched) <= 5
+            roots.append(side[-1])
+        assert calls == sorted(calls, key=lambda call: call[0] > 0.5)
+        (lower, gap, slope), (upper, _, _) = roots
+        assert lower == pytest.approx(0.46099840856814, abs=1e-13)
+        assert upper == pytest.approx(0.53914335724461, abs=1e-13)
+        assert vertex_value(lower) > vertex_value(upper)
+        assert scan.a_star == lower
+        assert scan.e_star == vertex_value(lower)
+        assert gap != 0.0 and scan.crossing_error == abs(gap / slope)
 
-    def test_bisection_drops_the_lower_bracket_when_it_loses(self, monkeypatch):
-        # A synthetic mixed branch on (0.4587, 0.5391): its upper crossing has
-        # the larger V, 1.2e-4 above the lower one's, so the lower side stops
-        # once its bound falls below the upper side's, after a few halvings.
+    def test_upper_crossing_wins_on_a_synthetic_branch(self, monkeypatch):
+        # A synthetic mixed branch with g = 10 (a - 0.4587)(a - 0.5391): its
+        # upper crossing has the larger V, 1.2e-4 above the lower one's.
         lower, upper = 0.4587, 0.5391
         assert vertex_value(lower) < vertex_value(upper) - 1e-4
 
-        calls = []
-
         def synthetic(x, a):
-            mixed = lower < a < upper
-            calls.append(a)
-            return (x if mixed else None), (1.0 if mixed else vertex_value(a)), True
+            return x, 10.0 * (a - lower) * (a - upper), 10.0 * (2.0 * a - lower - upper), True
 
         def certified(a, config):
             # The certificate solve at a_star ends on a basis vertex, at V(a_star).
@@ -515,33 +555,36 @@ class TestMaximizePairEof:
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", synthetic)
         monkeypatch.setattr("qshare.optimize.min_span_entanglement", certified)
         scan = maximize_pair_eof(FAST)
-        assert scan.a_star in (np.nextafter(upper, 0.0), upper)
+        assert scan.a_star == pytest.approx(upper, abs=1e-13)
         assert scan.e_star == vertex_value(scan.a_star)
-        assert sum(a < 0.5 for a in calls) < 12
+        assert scan.crossing_error <= _CROSSING_TOLERANCE
 
     def test_continued_envelope_matches_multistart(self):
         # Where V(a) >= E*, min(V, M) on the continued branch matches the
-        # multistart minimum: never below it, and at most 3.3e-10 above.
+        # multistart argmin polished by the same corrector: the multistart
+        # solve stops at its 1e-10 value tolerance, the corrector at its step
+        # tolerance.
         scan = fast_scan(0)
         vertex = [_vertex_entanglement(ResidueFamily.from_a(a)) for a, _ in scan.scan_trace[1:-1]]
         window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v >= scan.e_star]
         # 0.465 to 0.535, less a = 1/2, whose value is the multistart solve.
         assert sorted(round(a, 3) for a, _ in window) == [round(0.465 + 0.005 * k, 3) for k in range(15) if k != 7]
         for a, value in window:
-            gap = value - min_span_entanglement(a, FAST).value
-            assert 0.0 <= gap <= 1e-9
+            _, polished, _, converged = _continue_mixed_branch(min_span_entanglement(a, FAST).argmin, a)
+            assert converged
+            assert abs(value - (vertex_value(a) + min(polished, 0.0))) <= 1e-13
 
     def test_mixed_branch_stays_off_the_spectrum_clip(self, monkeypatch):
         # value_and_grad drops the log of squared Schmidt coefficients at or
-        # below SPECTRUM_CLIP; on the traced mixed branch, bisection points
-        # included, the smallest stays far above it, so the mask never acts.
+        # below SPECTRUM_CLIP; on the traced mixed branch, Newton steps on the
+        # crossings included, the smallest stays far above it, so the mask
+        # never acts.
         continued = []
 
         def recorded(x, a):
-            mixed, value, converged = _continue_mixed_branch(x, a)
-            if mixed is not None:
-                continued.append((a, mixed))
-            return mixed, value, converged
+            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            continued.append((a, x))
+            return x, gap, slope, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         maximize_pair_eof(FAST)
@@ -549,25 +592,68 @@ class TestMaximizePairEof:
         states = [ResidueFamily.from_a(a).span_state(c) for a, c in continued]
         assert min(schmidt_spectrum(s, PAIR_DIMS, PAIR_CUT)[-1] for s in states) >= 1e6 * SPECTRUM_CLIP
 
-    def test_side_test_needs_the_vertex_weight(self):
-        # The branch continued from a = 0.475 collapses onto a basis vertex
-        # far past the crossing and reports V(a) only to round-off, of either
-        # sign, so a test on the sign of V(a) - f alone could put it on the
-        # mixed side.
-        config = OptimizationConfig(restarts=40, seed=0)
-        start = min_span_entanglement(0.475, config).argmin
-        for a in (0.0, 0.6):
-            objective = _SpanObjective(ResidueFamily.from_a(a))
-            x, _, _ = _lbfgs(objective, start[None])
-            coeffs, values = _finish(objective, x)
-            assert abs(objective.vertex_value - values[0]) < 1e-10
-            assert np.max(coeffs[0] ** 2) > _VERTEX_WEIGHT
-            assert _continue_mixed_branch(start, a)[0] is None
-        # Near the crossing the continued branch lies on the mixed side above
-        # it and above V(a) below it.
+    def test_side_test_is_the_sign_of_the_gap(self):
+        # Near the crossing the corrected branch lies below V(a) above a* and
+        # above V(a) below it, off every basis vertex, and g is linear there
+        # to second order in a - a*.
+        start = min_span_entanglement(0.475, OptimizationConfig(restarts=40, seed=0)).argmin
         a_star = fast_scan(0).a_star
-        assert _continue_mixed_branch(start, a_star + 1e-6)[0] is not None
-        assert _continue_mixed_branch(start, a_star - 1e-6)[0] is None
+        for a, side in ((a_star + 1e-6, -1.0), (a_star - 1e-6, 1.0)):
+            x, gap, slope, converged = _continue_mixed_branch(start, a)
+            assert converged and np.sign(gap) == side
+            assert np.max(x**2) <= _VERTEX_WEIGHT
+            assert abs(gap + slope * (a_star - a)) <= 1e-11
+
+    def test_crossing_is_a_root_and_a_strict_minimum(self, monkeypatch):
+        # At a* the corrected mixed-branch value equals V(a*) to round-off,
+        # by the objective and independently by the Schmidt spectrum of the
+        # span state.
+        points = {}
+
+        def recorded(x, a):
+            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            points[a] = x, gap
+            return x, gap, slope, converged
+
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
+        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
+        x, gap = points[scan.a_star]
+        assert abs(gap) <= 1e-14
+        assert abs(span_entanglement(x, scan.a_star) - scan.e_star) <= 1e-14
+        assert np.max(x**2) <= _VERTEX_WEIGHT
+
+    @pytest.mark.parametrize("seed", (0, 11))
+    def test_reports_the_crossing_error_and_curvature(self, seed):
+        # Measured: hessian_min 0.261 at the lower root (0.204 at the upper).
+        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed))
+        assert 0.0 <= scan.crossing_error <= 1e-13
+        assert scan.hessian_min >= 0.1
+
+    def test_unsettled_crossing_is_counted_not_raised(self, monkeypatch):
+        # With no step small enough to stop on, each crossing runs its full
+        # _NEWTON_ITERATIONS steps and fails its last corrector solve.
+        reference = fast_scan(0)
+        monkeypatch.setattr("qshare.optimize._CROSSING_TOLERANCE", -1.0)
+        scan = maximize_pair_eof(FAST)
+        assert scan.failed_restarts == reference.failed_restarts + 2
+        assert scan.a_star == pytest.approx(reference.a_star, abs=1e-13)
+
+    def test_singular_hessian_is_counted_not_raised(self, monkeypatch):
+        calls = []
+
+        def singular_first(matrix, rhs):
+            calls.append(matrix)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(matrix, rhs)
+
+        solve = np.linalg.solve
+        reference = fast_scan(0)
+        monkeypatch.setattr(np.linalg, "solve", singular_first)
+        scan = maximize_pair_eof(FAST)
+        assert scan.failed_restarts == reference.failed_restarts + 1
+        assert scan.restarts == reference.restarts
+        assert scan.a_star == pytest.approx(reference.a_star, abs=1e-13)
 
     def test_rejects_a_vertex_seed(self, monkeypatch):
         # A solve at a = 1/2 that ends on a basis vertex gives no mixed branch
@@ -584,9 +670,10 @@ class TestMaximizePairEof:
             maximize_pair_eof(FAST)
 
     def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
+        # The same roots, but a branch that lies far closer below V.
         def raised(x, a):
-            mixed, value, converged = _continue_mixed_branch(x, a)
-            return mixed, value + 1e-2, converged
+            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            return x, 1e-2 * gap, 1e-2 * slope, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", raised)
         with pytest.raises(RuntimeError, match="exceeds V"):
