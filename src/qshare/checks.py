@@ -290,8 +290,8 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     # The reported minimum must not exceed any sampled span state.
     dev = 0.0
     witness_dev = 0.0
-    for a in (0.3, 0.5, 0.75):
-        result = min_span_entanglement(a, config)
+    solves = {a: min_span_entanglement(a, config) for a in (0.3, 0.5, 0.75)}
+    for a, result in solves.items():
         for _ in range(20):
             dev = max(dev, result.value - span_entanglement(_random_state(rng, MODULUS), a))
         witness_dev = max(witness_dev, abs(span_entanglement(result.argmin, a) - result.value))
@@ -300,7 +300,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
 
     # Same seed, same restart values; a batch of k restarts equals the first
     # k rows of a batch of R, so no restart depends on the others.
-    first = min_span_entanglement(0.5, config)
+    first = solves[0.5]
     second = min_span_entanglement(0.5, config)
     prefix = min_span_entanglement(0.5, replace(config, restarts=max(1, config.restarts // 2)))
     k = len(prefix.restart_values)

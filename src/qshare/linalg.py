@@ -94,14 +94,12 @@ def check_density_matrix(rho, dim=None):
 
     Positivity is accepted in O(n^2) when the Gershgorin bound on the lowest
     eigenvalue, min_i (rho_ii - sum_{j != i} |rho_ij|), is at least
-    -PSD_TOLERANCE / 2.  Otherwise a Cholesky factorization of
-    rho + (PSD_TOLERANCE / 2) I, real when rho is, must succeed, which it does
-    only when the lowest eigenvalue is at least -PSD_TOLERANCE / 2 up to
-    round-off; failing that, the lowest eigenvalue decides, against -PSD_TOLERANCE.
+    -PSD_TOLERANCE / 2; for every Werner state a I + b F the bound is the
+    lowest eigenvalue.  Otherwise the lowest eigenvalue decides, against
+    -PSD_TOLERANCE.
     """
     rho = _as_square_matrix(rho, "rho")
-    n = rho.shape[0]
-    if dim is not None and n != int(dim):
+    if dim is not None and rho.shape[0] != int(dim):
         raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
     work = _check_hermitian(rho, "rho")
     trace_dev = abs(np.trace(rho) - 1.0)
@@ -111,14 +109,9 @@ def check_density_matrix(rho, dim=None):
     radii = magnitudes.sum(axis=1) - magnitudes.diagonal()
     if np.min(work.diagonal().real - radii) >= -PSD_TOLERANCE / 2:
         return rho
-    shifted = work.copy()
-    shifted.flat[:: n + 1] += PSD_TOLERANCE / 2
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lowest = float(np.linalg.eigvalsh(rho)[0])
-        if lowest < -PSD_TOLERANCE:
-            raise ValueError(f"rho has a negative eigenvalue {lowest:.3e}") from None
+    lowest = float(np.linalg.eigvalsh(rho)[0])
+    if lowest < -PSD_TOLERANCE:
+        raise ValueError(f"rho has a negative eigenvalue {lowest:.3e}")
     return rho
 
 

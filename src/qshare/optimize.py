@@ -40,9 +40,9 @@ _MAX_ITERATIONS = 5000
 _VALUE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-12
 
-# Step of the outward march along the mixed branch from a = 1/2.
+# Largest step in a of the secant search for each branch crossing.
 _TRACE_STEP = 0.005
-# Newton on the mixed branch: iteration cap, difference step, tolerance in a.
+# Newton corrector iteration cap, Hessian difference step, crossing tolerance in a.
 _NEWTON_ITERATIONS = 10
 _DIFFERENCE_STEP = 1e-5
 _CROSSING_TOLERANCE = 1e-13
@@ -95,15 +95,15 @@ class OptimizationResult:
 class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
-    ``scan_trace`` lists (a, value) for the multistart solve at a = 1/2, the
-    march points of the mixed branch as (a, min(V(a), M(a))), lower side
+    ``scan_trace`` lists (a, value) for the multistart solve at a = 1/2, every
+    corrected point of the mixed branch as (a, min(V(a), M(a))), lower side
     first, and the multistart solve at ``a_star`` that certifies the peak.
     ``e_star`` is the vertex value V(a_star), at least every traced value.
     ``restarts`` counts the restarts of both multistart solves and each
     Newton corrector solve, ``failed_restarts`` those that did not converge.
-    ``crossing_error`` = |g / g'| at ``a_star`` for g = M - V, and
+    ``crossing_error`` is the last secant step |da| on g = M - V, and
     ``hessian_min`` the smallest tangent Hessian eigenvalue of the mixed
-    minimizer there: positive at a strict local minimum.
+    minimizer at ``a_star``: positive at a strict local minimum.
     """
 
     a_star: float
@@ -421,12 +421,11 @@ def _tangent_hessian(objective: _SpanObjective, x):
 
 
 def _continue_mixed_branch(x, a):
-    """Mixed-branch point at ``a`` by Riemannian Newton from ``x``: (x, g(a), g'(a), converged).
+    """Mixed-branch point at ``a`` by Riemannian Newton from ``x``: (x, g(a), converged).
 
     Each iteration solves (P H P + x x^T) s = -P g and retracts x + s onto the
     sphere, until |s| <= ``_STEP_TOLERANCE``; a singular system or the
-    iteration cap fails the solve.  g = M - V, and g' (by the envelope
-    theorem) is its central difference in a at the final, fixed x.
+    iteration cap fails the solve.  g = M - V at the final x.
     """
     converged = False
     objective = _SpanObjective(ResidueFamily.from_a(a))
@@ -439,9 +438,7 @@ def _continue_mixed_branch(x, a):
         x = (x + step) / np.linalg.norm(x + step)
         if converged := np.linalg.norm(step) <= _STEP_TOLERANCE:
             break
-    ends = [_SpanObjective(ResidueFamily.from_a(a + t)) for t in (0.0, _DIFFERENCE_STEP, -_DIFFERENCE_STEP)]
-    gap, up, down = (float(end.entanglement(x[None])[0]) - end.vertex_value for end in ends)
-    return x, gap, (up - down) / (2.0 * _DIFFERENCE_STEP), bool(converged)
+    return x, float(objective.entanglement(x[None])[0]) - objective.vertex_value, bool(converged)
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
@@ -449,12 +446,13 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
 
     The span minimum is the smaller of the closed-form vertex value V(a) and
     the mixed-branch minimum M(a), and it peaks where the two cross.  A
-    multistart solve at a = 1/2 seeds the mixed branch.  Each side marches
-    from there in steps of ``_TRACE_STEP`` (:func:`_continue_mixed_branch`)
-    until g = M - V >= 0, then takes Newton steps in a on g until one is at
-    most ``_CROSSING_TOLERANCE``; a crossing not settled within
-    ``_NEWTON_ITERATIONS`` steps fails its last solve.  ``a_star`` is the
-    root with the larger V (the lower on a tie), and ``e_star`` = V(a_star).
+    multistart solve at a = 1/2 seeds the mixed branch.  Each side then runs
+    a secant search on g = M - V (:func:`_continue_mixed_branch`): a first
+    step of ``_TRACE_STEP``, every step clipped to it, until one is at most
+    ``_CROSSING_TOLERANCE``.  A crossing whose g repeats, or not settled in
+    int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its
+    last solve.  ``a_star`` is the root with the larger V (the lower on a
+    tie), and ``e_star`` = V(a_star).
     Each corrected point is feasible: min(V, M) bounds the minimum.  Raises
     ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex minimizer,
     if a traced value exceeds ``e_star``, or if a multistart solve at
@@ -471,21 +469,19 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         return _vertex_entanglement(ResidueFamily.from_a(a))
 
     def crossing(h):
-        x, a, gap = seed.argmin, 0.5, -np.inf
-        while gap < 0.0:
-            a += h
-            x, gap, slope, ok = _continue_mixed_branch(x, a)
+        x, a, gap = seed.argmin, 0.5, seed.value - vertex(0.5)
+        for _ in range(int(0.5 / _TRACE_STEP) + _NEWTON_ITERATIONS):
+            a, previous = a + h, gap
+            x, gap, ok = _continue_mixed_branch(x, a)
             converged.append(ok)
             trace.append((a, vertex(a) + min(gap, 0.0)))
-        for _ in range(_NEWTON_ITERATIONS):
-            if abs(gap / slope) <= _CROSSING_TOLERANCE:
+            if gap == previous:
                 break
-            a -= gap / slope
-            x, gap, slope, ok = _continue_mixed_branch(x, a)
-            converged.append(ok)
-        else:
-            converged[-1] = False
-        return vertex(a), a, x, abs(gap / slope)
+            h = float(np.clip(h * gap / (previous - gap), -_TRACE_STEP, _TRACE_STEP))
+            if abs(h) <= _CROSSING_TOLERANCE:
+                return vertex(a), a, x, abs(h)
+        converged[-1] = False
+        return vertex(a), a, x, abs(h)
 
     e_star, a, x, crossing_error = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])
     peak_a, peak = max(trace, key=lambda t: t[1])

@@ -282,26 +282,26 @@ def test_subcommands_take_only_their_options():
 
 def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
     # At 10 iterations all 80 restarts of the two multistart solves stop
-    # short; each of the 22 Newton corrector solves of the mixed branch
+    # short; each of the 24 Newton corrector solves of the mixed branch
     # converges, since _MAX_ITERATIONS bounds only L-BFGS.
     monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 10)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["80 of 102 restarts did not converge"]
+    assert report["warnings"] == ["80 of 104 restarts did not converge"]
 
     # A corrector solve that stops short is counted too.
     calls = []
 
     def first_stops_short(x, a):
-        x, gap, slope, converged = _continue_mixed_branch(x, a)
+        x, gap, converged = _continue_mixed_branch(x, a)
         calls.append(a)
-        return x, gap, slope, converged and len(calls) > 1
+        return x, gap, converged and len(calls) > 1
 
     monkeypatch.setattr("qshare.optimize._continue_mixed_branch", first_stops_short)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     assert code == 1
-    assert json.loads(out)["warnings"] == ["81 of 102 restarts did not converge"]
+    assert json.loads(out)["warnings"] == ["81 of 104 restarts did not converge"]
 
 
 def test_non_converging_corrector_exits_1(capsys, monkeypatch):
@@ -312,14 +312,14 @@ def test_non_converging_corrector_exits_1(capsys, monkeypatch):
     reference = json.loads(out)["results"]["a_star"]
 
     def never_converges(x, a):
-        x, gap, slope, _ = _continue_mixed_branch(x, a)
-        return x, gap, slope, False
+        x, gap, _ = _continue_mixed_branch(x, a)
+        return x, gap, False
 
     monkeypatch.setattr("qshare.optimize._continue_mixed_branch", never_converges)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["22 of 102 restarts did not converge"]
+    assert report["warnings"] == ["24 of 104 restarts did not converge"]
     assert report["results"]["a_star"] == reference
 
 

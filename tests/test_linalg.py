@@ -236,52 +236,55 @@ def test_density_check_rejects_non_hermitian_wrong_trace_and_wrong_size():
         check_density_matrix(rho, 9)
 
 
-def test_density_check_diagonalizes_only_when_the_factorization_fails(monkeypatch):
+@pytest.fixture
+def diagonalized(monkeypatch):
+    """Shapes passed to np.linalg.eigvalsh."""
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    return shapes
+
+
+def test_density_check_diagonalizes_only_when_the_bound_fails(diagonalized):
     for d in range(2, 13):
         check_density_matrix(singlet_pair_reduced(d))
+    assert diagonalized == []
+    # Planted spectra are not diagonally dominant.
     check_density_matrix(planted_density(np.random.default_rng(1), 49, -0.3e-10, True))
-    assert shapes == []
     check_density_matrix(planted_density(np.random.default_rng(1), 49, -0.7e-10, True))
-    assert shapes == [(49, 49)]
+    assert diagonalized == [(49, 49)] * 2
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Shapes passed to np.linalg.cholesky and np.linalg.eigvalsh, by name."""
-    calls = {"cholesky": [], "eigvalsh": []}
-    for name, seen in calls.items():
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, _f=original, _s=seen: _s.append(a.shape) or _f(a))
-    return calls
-
-
-def test_density_check_certifies_dominant_matrices_without_factoring(factorizations):
+def test_density_check_certifies_dominant_matrices_without_factoring(diagonalized):
     # (I - F) / (d(d-1)): each row holds 1/(d(d-1)) on the diagonal against one
     # off-diagonal -1/(d(d-1)), or is zero, so the Gershgorin bound is exactly 0.
     for d in range(2, 31):
         check_density_matrix(singlet_pair_reduced(d), d * d)
     for n in (1, 2, 49, 900):
         check_density_matrix(np.eye(n) / n, n)
-    assert factorizations == {"cholesky": [], "eigvalsh": []}
+    # A Werner state a I + b F meets the bound with equality, a - |b|.
+    for d in (2, 3, 7):
+        flip = swap_operator(d)
+        sym, anti = (np.eye(d * d) + flip) / (d * (d + 1)), (np.eye(d * d) - flip) / (d * (d - 1))
+        for p in (0.0, 0.3, 1.0):
+            check_density_matrix(p * sym + (1.0 - p) * anti, d * d)
+    assert diagonalized == []
 
 
-def test_density_check_factors_what_the_bound_cannot_certify(factorizations):
+def test_density_check_diagonalizes_what_the_bound_cannot_certify(diagonalized):
     accepted = planted_density(np.random.default_rng(49), 49, -0.3e-10, True)
     check_density_matrix(accepted, 49)
-    assert factorizations == {"cholesky": [(49, 49)], "eigvalsh": []}
+    assert diagonalized == [(49, 49)]
     rejected = planted_density(np.random.default_rng(49), 49, -1.3e-10, True)
     with pytest.raises(ValueError, match=r"rho has a negative eigenvalue -1\.300e-10"):
         check_density_matrix(rejected, 49)
-    assert factorizations == {"cholesky": [(49, 49)] * 2, "eigvalsh": [(49, 49)]}
+    assert diagonalized == [(49, 49)] * 2
 
 
-def test_density_check_bound_accepts_only_at_half_the_tolerance(factorizations):
+def test_density_check_bound_accepts_only_at_half_the_tolerance(diagonalized):
     # One diagonal entry lowered below zero: the Gershgorin bound is that entry.
-    for lowest, factored in [(-0.4e-10, 0), (-0.6e-10, 1)]:
+    for lowest, diagonalizations in [(-0.4e-10, 0), (-0.6e-10, 1)]:
         rho = np.diag([0.5 - lowest, 0.5, lowest])
         check_density_matrix(rho, 3)
-        assert len(factorizations["cholesky"]) == factored
-        factorizations["cholesky"].clear()
+        assert len(diagonalized) == diagonalizations
+        diagonalized.clear()

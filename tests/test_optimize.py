@@ -13,6 +13,7 @@ from qshare.optimize import (
     _CROSSING_TOLERANCE,
     _MAX_ITERATIONS,
     _STEP_TOLERANCE,
+    _TRACE_STEP,
     _VALUE_TOLERANCE,
     _VERTEX_WEIGHT,
     OptimizationConfig,
@@ -224,12 +225,19 @@ class TestNewtonCorrector:
 
     def test_iteration_cap_fails_the_solve(self, monkeypatch):
         start = min_span_entanglement(0.5, FAST).argmin
-        x, gap, _, converged = _continue_mixed_branch(start, 0.495)
+        x, gap, converged = _continue_mixed_branch(start, 0.495)
         assert converged and gap < 0.0
         monkeypatch.setattr("qshare.optimize._NEWTON_ITERATIONS", 1)
-        capped, capped_gap, _, converged = _continue_mixed_branch(start, 0.495)
+        capped, capped_gap, converged = _continue_mixed_branch(start, 0.495)
         assert not converged
         assert np.all(np.isfinite(capped)) and capped_gap < 0.0
+
+    @pytest.mark.parametrize("a", (0.0, 1.0))
+    def test_evaluates_only_at_its_own_weight(self, a):
+        # g is taken at a alone, so the ends of [0, 1] are valid weights.
+        start = min_span_entanglement(0.5, FAST).argmin
+        x, gap, _ = _continue_mixed_branch(start, a)
+        assert np.all(np.isfinite(x)) and np.isfinite(gap)
 
 
 class _Quadratic:
@@ -472,8 +480,8 @@ class TestAverageEntanglement:
 class TestMaximizePairEof:
     @pytest.mark.parametrize("seed", SCAN_SEEDS)
     def test_trace_contains_best(self, seed):
-        # The march from a = 1/2 brackets both crossings; the upper one peaks
-        # at a = 0.539 with E = 1.99384 and loses.
+        # Both crossings are solved; the upper one peaks at a = 0.539 with
+        # E = 1.99384 and loses.
         scan = fast_scan(seed)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star >= max(values)
@@ -485,7 +493,7 @@ class TestMaximizePairEof:
         a_stars = [fast_scan(seed).a_star for seed in SCAN_SEEDS]
         assert max(a_stars) - min(a_stars) <= 2e-14
 
-    def test_default_grid_certifies_the_crossing(self, monkeypatch):
+    def test_scan_certifies_the_crossing(self, monkeypatch):
         solved = []
 
         def counted(a, config):
@@ -506,35 +514,41 @@ class TestMaximizePairEof:
             assert abs(scan.e_star - 1.9943982236727) <= 1e-12
 
     def test_both_crossings_are_solved_and_the_larger_wins(self, monkeypatch):
-        # Each side marches to its first point past the crossing, then takes
-        # Newton steps in a on g = M - V.  The lower root (a = 0.46100) has
-        # the larger V; the upper one (a = 0.53914, 5.5e-4 lower) loses.
+        # Each side steps from a = 1/2 by secant steps on g = M - V, clipped
+        # to _TRACE_STEP, until a step is at most _CROSSING_TOLERANCE.  The
+        # lower root (a = 0.46100) has the larger V; the upper one
+        # (a = 0.53914, 5.5e-4 lower) loses.
         calls = []
 
         def recorded(x, a):
-            x, gap, slope, converged = _continue_mixed_branch(x, a)
-            calls.append((a, gap, slope))
-            return x, gap, slope, converged
+            x, gap, converged = _continue_mixed_branch(x, a)
+            calls.append((a, gap))
+            return x, gap, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=11))
+        assert len(calls) == 24
         roots = []
         for upper in (False, True):
-            side = [call for call in calls if (call[0] > 0.5) == upper]
-            # The march ends at its first point with g >= 0.
-            marched = [a for a, _, _ in side[: 1 + next(i for i, call in enumerate(side) if call[1] >= 0.0)]]
-            assert np.allclose(np.abs(np.array(marched) - 0.5), 0.005 * np.arange(1, len(marched) + 1))
-            assert abs(side[-1][1] / side[-1][2]) <= _CROSSING_TOLERANCE
-            assert len(side) - len(marched) <= 5
-            roots.append(side[-1])
+            side = [(0.5, None)] + [call for call in calls if (call[0] > 0.5) == upper]
+            steps = np.abs(np.diff([a for a, _ in side]))
+            assert steps[0] == pytest.approx(_TRACE_STEP, abs=1e-15)
+            assert np.all(steps <= _TRACE_STEP + 1e-15)
+            # At most 5 secant steps fall short of the clip.
+            assert np.count_nonzero(steps < _TRACE_STEP - 1e-12) <= 5
+            (a_prev, g_prev), (a, gap) = side[-2:]
+            last_step = abs((a - a_prev) * gap / (g_prev - gap))
+            assert last_step <= _CROSSING_TOLERANCE
+            roots.append((a, last_step))
         assert calls == sorted(calls, key=lambda call: call[0] > 0.5)
-        (lower, gap, slope), (upper, _, _) = roots
+        (lower, last_step), (upper, _) = roots
         assert lower == pytest.approx(0.46099840856814, abs=1e-13)
         assert upper == pytest.approx(0.53914335724461, abs=1e-13)
         assert vertex_value(lower) > vertex_value(upper)
         assert scan.a_star == lower
         assert scan.e_star == vertex_value(lower)
-        assert gap != 0.0 and scan.crossing_error == abs(gap / slope)
+        # The scan steps by its clipped h, which a + h rounds.
+        assert scan.crossing_error == pytest.approx(last_step, rel=1e-5)
 
     def test_upper_crossing_wins_on_a_synthetic_branch(self, monkeypatch):
         # A synthetic mixed branch with g = 10 (a - 0.4587)(a - 0.5391): its
@@ -542,14 +556,18 @@ class TestMaximizePairEof:
         lower, upper = 0.4587, 0.5391
         assert vertex_value(lower) < vertex_value(upper) - 1e-4
 
+        def gap(a):
+            return 10.0 * (a - lower) * (a - upper)
+
         def synthetic(x, a):
-            return x, 10.0 * (a - lower) * (a - upper), 10.0 * (2.0 * a - lower - upper), True
+            return x, gap(a), True
 
         def certified(a, config):
-            # The certificate solve at a_star ends on a basis vertex, at V(a_star).
+            # The seed solve lies on the synthetic branch; the certificate
+            # solve at a_star ends on a basis vertex, at V(a_star).
             result = min_span_entanglement(a, config)
             if a == 0.5:
-                return result
+                return dataclasses.replace(result, value=vertex_value(a) + gap(a))
             return dataclasses.replace(result, value=vertex_value(a), argmin=np.eye(7)[0])
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", synthetic)
@@ -560,31 +578,37 @@ class TestMaximizePairEof:
         assert scan.crossing_error <= _CROSSING_TOLERANCE
 
     def test_continued_envelope_matches_multistart(self):
-        # Where V(a) >= E*, min(V, M) on the continued branch matches the
+        # Where V(a) > E*, min(V, M) on the continued branch matches the
         # multistart argmin polished by the same corrector: the multistart
         # solve stops at its 1e-10 value tolerance, the corrector at its step
         # tolerance.
         scan = fast_scan(0)
         vertex = [_vertex_entanglement(ResidueFamily.from_a(a)) for a, _ in scan.scan_trace[1:-1]]
-        window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v >= scan.e_star]
-        # 0.465 to 0.535, less a = 1/2, whose value is the multistart solve.
-        assert sorted(round(a, 3) for a, _ in window) == [round(0.465 + 0.005 * k, 3) for k in range(15) if k != 7]
+        window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v > scan.e_star]
+        # Full steps from 0.465 to 0.535, less a = 1/2, whose value is the
+        # multistart solve; the secant steps below 0.465 stay above a_star.
+        # At a_star itself a basis vertex ties the branch, so a multistart
+        # argmin there may be the vertex (see the root test below).
+        assert sorted(round(a, 3) for a, _ in window if a > 0.4625) == [
+            round(0.465 + 0.005 * k, 3) for k in range(15) if k != 7
+        ]
+        assert all(a > scan.a_star for a, _ in window)
         for a, value in window:
-            _, polished, _, converged = _continue_mixed_branch(min_span_entanglement(a, FAST).argmin, a)
+            _, polished, converged = _continue_mixed_branch(min_span_entanglement(a, FAST).argmin, a)
             assert converged
             assert abs(value - (vertex_value(a) + min(polished, 0.0))) <= 1e-13
 
     def test_mixed_branch_stays_off_the_spectrum_clip(self, monkeypatch):
         # value_and_grad drops the log of squared Schmidt coefficients at or
-        # below SPECTRUM_CLIP; on the traced mixed branch, Newton steps on the
-        # crossings included, the smallest stays far above it, so the mask
-        # never acts.
+        # below SPECTRUM_CLIP; on the traced mixed branch, secant steps onto
+        # the crossings included, the smallest stays far above it, so the
+        # mask never acts.
         continued = []
 
         def recorded(x, a):
-            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            x, gap, converged = _continue_mixed_branch(x, a)
             continued.append((a, x))
-            return x, gap, slope, converged
+            return x, gap, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         maximize_pair_eof(FAST)
@@ -595,14 +619,16 @@ class TestMaximizePairEof:
     def test_side_test_is_the_sign_of_the_gap(self):
         # Near the crossing the corrected branch lies below V(a) above a* and
         # above V(a) below it, off every basis vertex, and g is linear there
-        # to second order in a - a*.
+        # to second order in a - a*: its values at a* +- 1e-6 cancel.
         start = min_span_entanglement(0.475, OptimizationConfig(restarts=40, seed=0)).argmin
         a_star = fast_scan(0).a_star
+        gaps = []
         for a, side in ((a_star + 1e-6, -1.0), (a_star - 1e-6, 1.0)):
-            x, gap, slope, converged = _continue_mixed_branch(start, a)
+            x, gap, converged = _continue_mixed_branch(start, a)
             assert converged and np.sign(gap) == side
             assert np.max(x**2) <= _VERTEX_WEIGHT
-            assert abs(gap + slope * (a_star - a)) <= 1e-11
+            gaps.append(gap)
+        assert abs(sum(gaps)) / 2.0 <= 1e-11
 
     def test_crossing_is_a_root_and_a_strict_minimum(self, monkeypatch):
         # At a* the corrected mixed-branch value equals V(a*) to round-off,
@@ -611,9 +637,9 @@ class TestMaximizePairEof:
         points = {}
 
         def recorded(x, a):
-            x, gap, slope, converged = _continue_mixed_branch(x, a)
+            x, gap, converged = _continue_mixed_branch(x, a)
             points[a] = x, gap
-            return x, gap, slope, converged
+            return x, gap, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
@@ -630,13 +656,31 @@ class TestMaximizePairEof:
         assert scan.hessian_min >= 0.1
 
     def test_unsettled_crossing_is_counted_not_raised(self, monkeypatch):
-        # With no step small enough to stop on, each crossing runs its full
-        # _NEWTON_ITERATIONS steps and fails its last corrector solve.
+        # With no step small enough to stop on, each crossing runs on until g
+        # repeats exactly or its solve cap is reached, and fails its last
+        # corrector solve.
         reference = fast_scan(0)
         monkeypatch.setattr("qshare.optimize._CROSSING_TOLERANCE", -1.0)
         scan = maximize_pair_eof(FAST)
         assert scan.failed_restarts == reference.failed_restarts + 2
         assert scan.a_star == pytest.approx(reference.a_star, abs=1e-13)
+
+    def test_repeated_gap_is_counted_not_raised(self, monkeypatch):
+        # A g that repeats exactly leaves the secant step without a
+        # denominator: that crossing ends there, 4e-11 from its root, as one
+        # failed solve.
+        reference = fast_scan(0)
+        gaps = []
+
+        def repeated(x, a):
+            x, gap, converged = _continue_mixed_branch(x, a)
+            gaps.append(gaps[-1] if abs(gap) < 1e-9 else gap)
+            return x, gaps[-1], converged
+
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", repeated)
+        scan = maximize_pair_eof(FAST)
+        assert scan.failed_restarts == reference.failed_restarts + 2
+        assert scan.a_star == pytest.approx(reference.a_star, abs=1e-10)
 
     def test_singular_hessian_is_counted_not_raised(self, monkeypatch):
         calls = []
@@ -672,8 +716,8 @@ class TestMaximizePairEof:
     def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
         # The same roots, but a branch that lies far closer below V.
         def raised(x, a):
-            x, gap, slope, converged = _continue_mixed_branch(x, a)
-            return x, 1e-2 * gap, 1e-2 * slope, converged
+            x, gap, converged = _continue_mixed_branch(x, a)
+            return x, 1e-2 * gap, converged
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", raised)
         with pytest.raises(RuntimeError, match="exceeds V"):

@@ -106,7 +106,7 @@ def test_density_check_accepts_exactly_the_spectra_above_tolerance(n, complex_en
 def test_density_check_of_diagonally_dominant_matrices(n, complex_entries, seed, lowest, coupling):
     # A diagonal with one entry near zero plus couplings up to 1e-10: the
     # Gershgorin bound straddles -PSD_TOLERANCE / 2, so some draws are
-    # certified by it and the rest go on to the factorization.
+    # certified by it and the rest go on to the eigenvalues.
     rng = np.random.default_rng(seed)
     rest = rng.uniform(0.5, 1.5, n - 1)
     rho = np.diag(np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])).astype(complex)
