@@ -51,14 +51,6 @@ def _config_from_args(args):
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
-def _closed_form_fit(rho, d):
-    """Werner fit of a closed-form pair marginal, which must succeed."""
-    fit = werner_fit(rho, d)
-    if fit is None:
-        raise RuntimeError(f"the d={d} closed-form marginal failed its Werner fit")
-    return fit
-
-
 def run_table(args) -> dict:
     """Pairwise sharing bounds for three particles at d = 2, 3, 7."""
     config = _config_from_args(args)
@@ -67,8 +59,8 @@ def run_table(args) -> dict:
     e2 = qubit_eof(pair)
 
     rho3 = singlet_pair_reduced(3)
-    fit3 = _closed_form_fit(rho3, 3)
-    e3 = werner_eof(rho3, 3)
+    e3 = werner_eof(rho3, 3)  # raises unless rho3 is Werner, so the fit below succeeds
+    fit3 = werner_fit(rho3, 3)
 
     scan = maximize_pair_eof(config)
     warnings = []
@@ -94,8 +86,9 @@ def run_singlet(args) -> dict:
     """Werner fit, concurrence and E_f of the closed-form pair marginal."""
     d = args.d
     rho = singlet_pair_reduced(d)
-    fit = _closed_form_fit(rho, d)
-    results = {"d": d, "c": werner_concurrence(rho, d), "a_w": fit.a_w, "b_w": fit.b_w, "e_f": werner_eof(rho, d)}
+    e_f = werner_eof(rho, d)  # raises unless rho is Werner, so the fit below succeeds
+    fit = werner_fit(rho, d)
+    results = {"d": d, "c": werner_concurrence(rho, d), "a_w": fit.a_w, "b_w": fit.b_w, "e_f": e_f}
     residuals = {"werner_fit": fit.residual}
     if d <= 5:
         residuals["full_state_cross_check"] = singlet_cross_check(d, rho)

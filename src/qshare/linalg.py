@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small tensor-product systems.
+"""Dense linear algebra for small tensor-product systems.
 
 Composite indices are big-endian on ket labels: |i1 ... in> maps to the flat
 index sum_k i_k * prod_{m>k} d_m, so the first subsystem is the most
@@ -9,6 +9,7 @@ amplitude vectors round-trip through ``reshape(dims)`` without relabeling.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _ROUND_OFF = 1e-10
 
 
 def _as_square_matrix(m, name="matrix"):
-    arr = np.asarray(m, dtype=complex)
+    arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -47,12 +48,11 @@ def _as_square_matrix(m, name="matrix"):
 
 
 def _check_hermitian(m, name):
-    """``m``, or its real view if it has no imaginary part; max |m - m^dagger| must be at most ``_ROUND_OFF``."""
-    work = m if np.any(m.imag) else m.real
-    dev = float(np.max(np.abs(work - work.conj().T)))
+    """Reject ``m`` unless max |m - m^dagger| is at most ``_ROUND_OFF`` (for real ``m``, m^dagger = m^T)."""
+    diff = m - m.conj().T
+    dev = float(np.max(np.abs(diff, out=diff).real))  # in place: one temporary
     if dev > _ROUND_OFF:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
-    return work
 
 
 def _subsystems(keep, n, name="keep"):
@@ -68,11 +68,12 @@ def _subsystems(keep, n, name="keep"):
 def check_pure_state(psi, dims, *, name="state"):
     """Validate a flat amplitude vector, or a 2-D stack of them as rows.
 
-    Returns the amplitudes as a complex array of the input's shape together
-    with the dimension tuple.  Rejects wrong lengths, non-finite entries, and
-    any vector whose Euclidean norm deviates from 1 by more than ``_ROUND_OFF``.
+    Returns the amplitudes as an array of the input's shape, complex if the
+    input is complex and float otherwise, together with the dimension tuple.
+    Rejects wrong lengths, non-finite entries, and any vector whose Euclidean
+    norm deviates from 1 by more than ``_ROUND_OFF``.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex if np.iscomplexobj(psi) else float)
     if psi.ndim not in (1, 2):
         raise ValueError(f"{name} must be a flat amplitude vector or a stack of them as rows")
     dims = tuple(int(d) for d in dims)
@@ -96,18 +97,19 @@ def check_density_matrix(rho, dim=None):
     eigenvalue, min_i (rho_ii - sum_{j != i} |rho_ij|), is at least
     -PSD_TOLERANCE / 2; for every Werner state a I + b F the bound is the
     lowest eigenvalue.  Otherwise the lowest eigenvalue decides, against
-    -PSD_TOLERANCE.
+    -PSD_TOLERANCE.  Returns ``rho``, complex if it is complex-typed and
+    float otherwise.
     """
     rho = _as_square_matrix(rho, "rho")
     if dim is not None and rho.shape[0] != int(dim):
         raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
-    work = _check_hermitian(rho, "rho")
+    _check_hermitian(rho, "rho")
     trace_dev = abs(np.trace(rho) - 1.0)
     if trace_dev > _ROUND_OFF:
         raise ValueError(f"rho does not have unit trace: deviation {trace_dev:.3e}")
-    magnitudes = np.abs(work)
+    magnitudes = np.abs(rho)
     radii = magnitudes.sum(axis=1) - magnitudes.diagonal()
-    if np.min(work.diagonal().real - radii) >= -PSD_TOLERANCE / 2:
+    if np.min(rho.diagonal().real - radii) >= -PSD_TOLERANCE / 2:
         return rho
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if lowest < -PSD_TOLERANCE:
@@ -118,15 +120,15 @@ def check_density_matrix(rho, dim=None):
 def swap_operator(d):
     """Pair-exchange operator F = sum_ij |ij><ji| on two d-level systems.
 
-    F is Hermitian, F @ F = I, and trace(F) = d.
+    F is real symmetric, F @ F = I, and trace(F) = d.  Its memory map is its
+    own and goes back to the system with F, so no freed F stays in the heap.
     """
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
     rows = np.arange(d * d)
-    cols = (rows % d) * d + rows // d
-    f = np.zeros((d * d, d * d), dtype=complex)
-    f[rows, cols] = 1.0
+    f = np.frombuffer(mmap.mmap(-1, d**4 * np.dtype(float).itemsize)).reshape(d * d, d * d)
+    f[rows, (rows % d) * d + rows // d] = 1.0
     return f
 
 

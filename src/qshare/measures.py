@@ -163,10 +163,11 @@ def werner_fit(rho, d):
     den = float(d * d) * float(d * d - 1)
     a_w = (d * d * t_id - d * t_sw) / den
     b_w = (d * d * t_sw - d * t_id) / den
-    misfit = swap_operator(d)  # a_w I + b_w F, then rho minus it, in one buffer
-    misfit *= b_w
-    misfit.flat[:: d * d + 1] += a_w
-    residual = float(np.max(np.abs(np.subtract(rho, misfit, out=misfit))))
+    misfit = swap_operator(d).astype(rho.dtype, copy=False)  # rho - a_w I - b_w F, in one buffer
+    misfit *= -b_w
+    misfit += rho
+    misfit.flat[:: d * d + 1] -= a_w
+    residual = float(np.max(np.abs(misfit, out=misfit).real))
     if residual > WERNER_TOLERANCE:
         return None
     return WernerParams(a_w=a_w, b_w=b_w, d=d, residual=residual)

@@ -211,10 +211,10 @@ def _lbfgs(objective: _SpanObjective, x0):
     row still running.  A row converges when an accepted step lowers the
     value by at most ``_VALUE_TOLERANCE`` (relative to max(|f|, 1)), when its
     step is at most ``_STEP_TOLERANCE`` times the length of its point, or when
-    no step longer than that lowers the value even along the steepest
-    descent.  It fails when it reaches ``_MAX_ITERATIONS`` accepted steps
-    first.  Returns the final points, the accepted steps per row and which
-    rows converged.
+    its direction does not descend or its line search finds no step longer
+    than that which lowers the value.  It fails when it reaches
+    ``_MAX_ITERATIONS`` accepted steps first.  Returns the final points, the
+    accepted steps per row and which rows converged.
     """
     x = np.array(x0, dtype=float)
     count, dim = x.shape
@@ -229,6 +229,10 @@ def _lbfgs(objective: _SpanObjective, x0):
     converged = np.zeros(count, dtype=bool)
     running = np.isfinite(f)
 
+    def stop(rows):
+        converged[rows] = True
+        running[rows] = False
+
     def search(rows):
         # A new line search from the current point along the L-BFGS direction.
         # A row whose gradient is zero to round-off (a step as long as the
@@ -236,27 +240,12 @@ def _lbfgs(objective: _SpanObjective, x0):
         # is stationary and converges where it stands.
         change = np.linalg.norm(g[rows], axis=1) * np.linalg.norm(x[rows], axis=1)
         stationary = change <= dim * np.finfo(float).eps * np.maximum(np.abs(f[rows]), 1.0)
-        converged[rows[stationary]] = True
-        running[rows[stationary]] = False
+        stop(rows[stationary])
         rows = rows[~stationary]
         d[rows] = _direction(g[rows], s_hist[rows], y_hist[rows], rho_hist[rows])
         slope[rows] = np.einsum("ri,ri->r", g[rows], d[rows])
         step[rows] = 1.0
-        stall(rows[~(slope[rows] < 0.0)])
-
-    def stall(rows):
-        # No descent along the current direction: retry along the steepest
-        # descent, and a row that already did is stationary, i.e. converged.
-        remembered = rho_hist[rows, -1] > 0.0
-        stopped = rows[~remembered]
-        converged[stopped] = True
-        running[stopped] = False
-        retry = rows[remembered]
-        if retry.size:
-            s_hist[retry] = 0.0
-            y_hist[retry] = 0.0
-            rho_hist[retry] = 0.0
-            search(retry)
+        stop(rows[~(slope[rows] < 0.0)])
 
     search(np.flatnonzero(running))
     while running.any():
@@ -280,8 +269,7 @@ def _lbfgs(objective: _SpanObjective, x0):
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[moved])), 1.0)
         flat = f_old - f[moved] <= _VALUE_TOLERANCE * scale
         small = np.linalg.norm(s_new, axis=1) <= _STEP_TOLERANCE * np.linalg.norm(x[moved], axis=1)
-        converged[moved[flat | small]] = True
-        running[moved[flat | small]] = False
+        stop(moved[flat | small])
         running[moved[iterations[moved] >= _MAX_ITERATIONS]] = False
         search(moved[running[moved]])
 
@@ -294,7 +282,7 @@ def _lbfgs(objective: _SpanObjective, x0):
         step[held] = 0.5 * t
         step[held[fit]] = np.clip(-slope[held[fit]] * t[fit] ** 2 / (2.0 * rise[fit]), 0.1 * t[fit], 0.5 * t[fit])
         length = step[held] * np.linalg.norm(d[held], axis=1)
-        stall(held[length <= _STEP_TOLERANCE * np.linalg.norm(x[held], axis=1)])
+        stop(held[length <= _STEP_TOLERANCE * np.linalg.norm(x[held], axis=1)])
     return x, iterations, converged
 
 
@@ -448,8 +436,9 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     the mixed-branch minimum M(a), and it peaks where the two cross.  A
     multistart solve at a = 1/2 seeds the mixed branch.  Each side then runs
     a secant search on g = M - V (:func:`_continue_mixed_branch`): a first
-    step of ``_TRACE_STEP``, every step clipped to it, until one is at most
-    ``_CROSSING_TOLERANCE``.  A crossing whose g repeats, or not settled in
+    step of ``_TRACE_STEP``, every step clipped to it and a to [0, 1], until
+    one is at most ``_CROSSING_TOLERANCE``.  A crossing whose g repeats (as
+    at an end of [0, 1] that it keeps stepping past), or not settled in
     int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its
     last solve.  ``a_star`` is the root with the larger V (the lower on a
     tie), and ``e_star`` = V(a_star).
@@ -471,7 +460,7 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     def crossing(h):
         x, a, gap = seed.argmin, 0.5, seed.value - vertex(0.5)
         for _ in range(int(0.5 / _TRACE_STEP) + _NEWTON_ITERATIONS):
-            a, previous = a + h, gap
+            a, previous = float(np.clip(a + h, 0.0, 1.0)), gap
             x, gap, ok = _continue_mixed_branch(x, a)
             converged.append(ok)
             trace.append((a, vertex(a) + min(gap, 0.0)))

@@ -64,7 +64,7 @@ def singlet_state(d):
     d = int(d)
     if not 2 <= d <= 7:
         raise ValueError(f"full construction supports 2 <= d <= 7, got {d}")
-    amp = np.zeros(d**d, dtype=complex)
+    amp = np.zeros(d**d)
     scale = 1.0 / math.sqrt(math.factorial(d))
     strides = [d ** (d - 1 - k) for k in range(d)]
     for perm in permutations(range(d)):
@@ -252,6 +252,6 @@ def w_state(n):
     n = int(n)
     if n < 2:
         raise ValueError("n must be at least 2")
-    amp = np.zeros(2**n, dtype=complex)
+    amp = np.zeros(2**n)
     amp[[2 ** (n - 1 - i) for i in range(n)]] = 1.0 / math.sqrt(n)
     return amp

@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 
 import qshare.optimize
+from qshare.states import ResidueFamily
 
 try:
     from hypothesis import settings
@@ -35,3 +36,32 @@ def lowered_peak_solve(monkeypatch):
         return dataclasses.replace(result, value=result.value - 1e-9)
 
     monkeypatch.setattr(qshare.optimize, "min_span_entanglement", lowered)
+
+
+@pytest.fixture
+def gapless_branch(monkeypatch):
+    """A synthetic mixed branch whose g = M - V = -(1 + a) never reaches 0 on [0, 1].
+
+    The seed solve at a = 1/2 is moved onto the branch, so no traced value
+    exceeds the vertex value.  Returns the weights a at which the Newton
+    corrector is called, in order.
+    """
+    solve = qshare.optimize.min_span_entanglement
+    weights = []
+
+    def gap(a):
+        return -(1.0 + a)
+
+    def synthetic(x, a):
+        weights.append(a)
+        return x, gap(a), True
+
+    def seeded(a, config):
+        result = solve(a, config)
+        if a != 0.5:
+            return result
+        return dataclasses.replace(result, value=qshare.optimize._vertex_entanglement(ResidueFamily.from_a(a)) + gap(a))
+
+    monkeypatch.setattr(qshare.optimize, "_continue_mixed_branch", synthetic)
+    monkeypatch.setattr(qshare.optimize, "min_span_entanglement", seeded)
+    return weights

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qshare
-from qshare.checks import CheckResult, family_checks, run_all_checks, singlet_cross_check
+from qshare.checks import CheckResult, family_checks, measure_checks, run_all_checks, singlet_cross_check
 from qshare.cli import CSV_HEADER, build_parser, main
 from qshare.optimize import OptimizationConfig, _continue_mixed_branch
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
@@ -255,8 +255,9 @@ def test_verify_text_prints_pass_lines(capsys):
 
 
 def test_werner_fit_failure_exits_2(capsys, monkeypatch):
-    # A closed-form marginal that fails its Werner fit is an internal error.
-    monkeypatch.setattr("qshare.cli.werner_fit", lambda rho, d: None)
+    # A closed-form marginal that fails its Werner fit is an error: werner_eof
+    # raises before the report is built.
+    monkeypatch.setattr("qshare.measures.werner_fit", lambda rho, d: None)
     monkeypatch.setattr("qshare.cli.maximize_pair_eof", refuse_to_solve)
     for argv in (["singlet", "--d", "6"], ["table", *TABLE_ARGS]):
         code = main([*argv, "--format", "json"])
@@ -323,6 +324,15 @@ def test_non_converging_corrector_exits_1(capsys, monkeypatch):
     assert report["results"]["a_star"] == reference
 
 
+def test_crossing_without_a_root_exits_1(capsys, gapless_branch):
+    # Each side of the scan runs to a = 0 and fails its last corrector solve:
+    # a warning, which the text report prints last.
+    code, out = run_cli(capsys, ["table", *TABLE_ARGS])
+    assert code == 1
+    assert out.splitlines()[-1] == "warning: 2 of 284 restarts did not converge"
+    assert "a_star = 0.0000" in out
+
+
 def test_unconverged_restarts_exit_1_without_strict(capsys, monkeypatch):
     monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 1)
     code, out = run_cli(capsys, ["family", "--a", "0.5", "--restarts", "3", "--format", "json"])
@@ -343,6 +353,13 @@ def test_failed_check_exits_1_without_strict(capsys, monkeypatch):
     assert code == 1
     assert report["results"]["n_failed"] == 1
     assert report["warnings"] == ["check failed: forced failure"]
+
+
+def test_measure_checks_fail_when_the_werner_fit_rejects(monkeypatch):
+    monkeypatch.setattr("qshare.checks.werner_fit", lambda rho, d: None)
+    results = measure_checks(np.random.default_rng(0))
+    assert results[-1] == CheckResult("werner concurrence linear form", False, "fit rejected an exact Werner state")
+    assert [r.passed for r in results[:-1]] == [True] * 3
 
 
 def test_verify_suite_catches_corrupted_residues():

@@ -174,6 +174,31 @@ def test_stack_with_one_bad_row_is_rejected(dims, cut):
             schmidt_spectrum(bad, dims, cut)
 
 
+def test_pure_state_check_rejects_bad_shapes_and_dims():
+    psi = np.full(4, 0.5)
+    with pytest.raises(ValueError, match="flat amplitude vector or a stack"):
+        check_pure_state(psi.reshape(1, 2, 2), (2, 2))
+    with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+        check_pure_state(psi, (4, 0))
+    with pytest.raises(ValueError, match="has 4 amplitudes, expected 8"):
+        check_pure_state(psi, (2, 2, 2))
+
+
+def test_checks_keep_real_input_real():
+    # Float input is validated and returned as it is, not copied to complex.
+    rho = singlet_pair_reduced(3)
+    assert check_density_matrix(rho, 9) is rho
+    assert np.array_equal(rho, singlet_pair_reduced(3))  # the Hermiticity test works on a copy
+    psi = np.full(4, 0.5)
+    assert check_pure_state(psi, (2, 2))[0] is psi
+    assert check_density_matrix(np.diag([1, 0]), 2).dtype == np.float64
+    # Complex input stays complex, even with no imaginary part.
+    complex_rho = rho.astype(complex)
+    assert check_density_matrix(complex_rho, 9).dtype == np.complex128
+    assert np.array_equal(complex_rho, rho)
+    assert check_pure_state(psi.astype(complex), (2, 2))[0].dtype == np.complex128
+
+
 def test_single_state_functions_reject_a_stack():
     # A one-row stack has the right number of amplitudes, so only the shape
     # tells it apart from a flat state.
@@ -234,6 +259,10 @@ def test_density_check_rejects_non_hermitian_wrong_trace_and_wrong_size():
         check_density_matrix(1.01 * rho)
     with pytest.raises(ValueError, match="must be 9 x 9"):
         check_density_matrix(rho, 9)
+    with pytest.raises(ValueError, match="must be a square matrix"):
+        check_density_matrix(np.eye(3)[:2])
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(np.where(np.eye(4) > 0.0, 0.25, np.nan))
 
 
 @pytest.fixture
@@ -288,3 +317,12 @@ def test_density_check_bound_accepts_only_at_half_the_tolerance(diagonalized):
         check_density_matrix(rho, 3)
         assert len(diagonalized) == diagonalizations
         diagonalized.clear()
+
+
+def test_swap_operators_are_writable_and_independent():
+    # Each call maps a buffer of its own, which callers may scale in place.
+    f, g = swap_operator(3), swap_operator(3)
+    f *= 2.0
+    assert f.dtype == np.float64 and f.flags.writeable and f.flags.c_contiguous
+    assert not np.shares_memory(f, g)
+    assert np.array_equal(g, f / 2.0)

@@ -59,6 +59,9 @@ class TestShannonEntropy:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             shannon_entropy([0.5, -0.5])
+        # A NaN compares False against the sign test, so it has its own.
+        with pytest.raises(ValueError, match="non-finite"):
+            shannon_entropy([0.5, np.nan])
 
     def test_stack_gives_one_entropy_per_row(self):
         stack = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 1e-13, 0.0]])
@@ -105,6 +108,9 @@ class TestConcurrenceCurve:
     def test_endpoints(self):
         assert eof_from_concurrence(0.0) == 0.0
         assert eof_from_concurrence(1.0) == pytest.approx(1.0, abs=1e-12)
+        # Round-off within 1e-9 of an endpoint is snapped onto it.
+        assert eof_from_concurrence(1.0 + 5e-10) == eof_from_concurrence(1.0)
+        assert eof_from_concurrence(-5e-10) == 0.0
 
     def test_two_thirds(self):
         assert eof_from_concurrence(2.0 / 3.0) == pytest.approx(CURVE_TWO_THIRDS, abs=1e-12)
@@ -236,6 +242,37 @@ class TestWernerQuantities:
             dense = float(np.max(np.abs(rho - (fit.a_w * identity + fit.b_w * swap))))
             assert fit.residual == pytest.approx(dense, rel=0.0, abs=1e-15)
 
+    def test_complex_typed_input_gives_the_float_results(self):
+        for d in (2, 3, 8):
+            rho = singlet_pair_reduced(d)
+            for measure in (werner_concurrence, werner_eof):
+                assert measure(rho.astype(complex), d) == measure(rho, d)
+            # A complex trace is summed in another order, so a_w may move by an ulp.
+            fit, complex_fit = werner_fit(rho, d), werner_fit(rho.astype(complex), d)
+            assert (complex_fit.a_w, complex_fit.b_w) == pytest.approx((fit.a_w, fit.b_w), rel=1e-15, abs=0.0)
+            assert complex_fit.d == d and complex_fit.residual <= 1e-17
+            # The misfit is built in the swap operator's buffer, not in rho's.
+            assert np.array_equal(rho, singlet_pair_reduced(d))
+
+    def test_complex_non_werner_state_is_rejected(self):
+        psi = random_state(np.random.default_rng(3), 9)
+        rho = np.outer(psi, psi.conj())
+        assert np.any(rho.imag)
+        assert werner_fit(rho, 3) is None
+        with pytest.raises(ValueError, match="not of the form"):
+            werner_eof(rho, 3)
+
+    def test_concurrence_rejects_a_non_real_swap_trace(self):
+        # i eps on every off-diagonal entry that F picks out keeps rho
+        # Hermitian to 2 eps and its trace at 1, but adds i eps d(d - 1) to
+        # Tr(rho F).
+        d, eps = 3, 0.4e-10
+        rho = singlet_pair_reduced(d).astype(complex)
+        flipped = swap_operator(d) - np.eye(d * d) > 0.0
+        rho[flipped] += 1j * eps
+        with pytest.raises(ValueError, match=r"non-real part -2\.400e-10"):
+            werner_concurrence(rho, d)
+
     def test_fit_rejects_a_perturbed_werner_state(self):
         rho = np.eye(9) / 9
         rho[0, 1] = rho[1, 0] = 1e-8
@@ -308,6 +345,8 @@ class TestDecomposition:
             Decomposition(weights=np.array([0.7, 0.7]), states=states)
         with pytest.raises(ValueError):
             Decomposition(weights=np.array([1.2, -0.2]), states=states)
+        with pytest.raises(ValueError, match="one weight per state row"):
+            Decomposition(weights=np.array([0.5, 0.3, 0.2]), states=states)
 
     def test_rejects_unnormalized_states(self):
         with pytest.raises(ValueError):

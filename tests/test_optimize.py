@@ -251,6 +251,13 @@ class _Quadratic:
         return np.einsum("ri,ri->r", diff, diff), 2.0 * diff
 
 
+class _Plateau:
+    """A constant value with a nonzero gradient: no step lowers the value."""
+
+    def value_and_grad(self, x):
+        return np.ones(len(x)), np.ones_like(x)
+
+
 class TestRestarts:
     def test_seeds_share_no_start(self):
         first = _starts(OptimizationConfig(restarts=40, seed=5))
@@ -296,6 +303,15 @@ class TestRestarts:
         assert converged[0] and iterations[0] == 0
         assert np.array_equal(x, vertex)
 
+    def test_failed_line_search_converges_in_place(self):
+        # The steepest descent descends, but backtracking reaches the step
+        # floor without lowering the value: the restart stops at its start.
+        starts = _starts(OptimizationConfig(restarts=3, seed=0))
+        x, iterations, converged = _lbfgs(_Plateau(), starts)
+        assert converged.all()
+        assert np.array_equal(iterations, [0, 0, 0])
+        assert np.array_equal(x, starts)
+
     def test_non_finite_start_fails_alone(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.5))
         starts = _starts(OptimizationConfig(restarts=2, seed=0))
@@ -309,6 +325,11 @@ class TestRestarts:
         result = min_span_entanglement(0.5, OptimizationConfig(restarts=5, seed=0))
         assert result.failed_restarts == tuple(range(5))
         assert np.all(np.isfinite(result.restart_values))
+
+    def test_solve_with_no_usable_restart_raises(self, monkeypatch):
+        monkeypatch.setattr("qshare.optimize._starts", lambda config: np.full((config.restarts, 7), np.nan))
+        with pytest.raises(RuntimeError, match="all 3 restarts failed at a=0.5"):
+            min_span_entanglement(0.5, OptimizationConfig(restarts=3, seed=0))
 
     @pytest.mark.parametrize("a", [0.3, 0.461, 0.5, 0.75])
     def test_merged_minimum_matches_scipy_from_same_starts(self, a):
@@ -681,6 +702,17 @@ class TestMaximizePairEof:
         scan = maximize_pair_eof(FAST)
         assert scan.failed_restarts == reference.failed_restarts + 2
         assert scan.a_star == pytest.approx(reference.a_star, abs=1e-10)
+
+    def test_crossing_stops_at_the_end_of_the_interval(self, request):
+        # Neither side finds a root: each steps down to a = 0, where the
+        # clipped step repeats g, and fails its last solve there.
+        reference = fast_scan(0)
+        weights = request.getfixturevalue("gapless_branch")
+        scan = maximize_pair_eof(FAST)
+        assert 0.0 <= min(weights) and max(weights) <= 1.0
+        assert weights[-2:] == [0.0, 0.0]
+        assert scan.failed_restarts == reference.failed_restarts + 2
+        assert scan.a_star == 0.0 and scan.e_star == vertex_value(0.0)
 
     def test_singular_hessian_is_counted_not_raised(self, monkeypatch):
         calls = []

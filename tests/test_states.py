@@ -90,7 +90,11 @@ class TestSingletState:
 class TestSwapOperator:
     def test_two_level_matrix(self):
         expected = np.eye(4)[[0, 2, 1, 3]]
-        assert np.array_equal(swap_operator(2).real, expected)
+        assert np.array_equal(swap_operator(2), expected)
+
+    def test_rejects_no_levels(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            swap_operator(0)
 
     def test_trace_and_involution(self):
         f = swap_operator(3)
@@ -108,6 +112,10 @@ class TestSingletPairReduced:
         for d in range(2, 31):
             dense = (np.identity(d * d) - swap_operator(d)) / (d * (d - 1))
             assert singlet_pair_reduced(d).tobytes() == dense.tobytes()
+
+    def test_rejects_one_level(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            singlet_pair_reduced(1)
 
     def test_two_levels_is_singlet_projector(self):
         psi = singlet_state(2)
@@ -144,6 +152,10 @@ class TestResidueFamily:
             ResidueFamily(a=0.5, b=0.5, residues=(1, 2))
         with pytest.raises(ValueError):
             ResidueFamily(a=0.5, b=0.5, residues=(0, 1, 2))
+        with pytest.raises(ValueError, match="weights out of range"):
+            ResidueFamily(a=1.5, b=0.0)
+        with pytest.raises(ValueError, match="level must lie in 0..6"):
+            ResidueFamily.from_a(0.5).pair_state(7)
 
     def test_aligned_member_is_diagonal_superposition(self):
         member = ResidueFamily.from_a(1.0).state()
@@ -251,6 +263,8 @@ class TestSpanState:
         family = ResidueFamily.from_a(0.5)
         with pytest.raises(ValueError):
             family.span_state(np.ones(7))
+        with pytest.raises(ValueError, match="need 7 span coefficients"):
+            family.span_state(np.ones(6) / np.sqrt(6.0))
 
 
 class TestGaugeFix:
@@ -371,3 +385,9 @@ class TestWState:
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
             w_state(1)
+
+
+def test_real_constructors_build_float_arrays():
+    # Real operators and states stay real: no complex buffer is allocated.
+    for built in (swap_operator(3), singlet_pair_reduced(3), singlet_state(3), w_state(3)):
+        assert built.dtype == np.float64
