@@ -6,7 +6,7 @@ aligned weight (``family``), and run the self-verification suite
 (``verify``).  Reports are emitted as aligned text, JSON, or CSV (table
 only).  The environment variable ``QSHARE_SEED`` supplies the seed when
 ``--seed`` is absent.  The exit status is 0 for a clean run, 1 when the report
-carries any warning, and 2 on an input or internal error.
+carries any warning, and 2 on an input, internal or allocation error.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         args.subparsers[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         report = _RUNNERS[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(_emit(report, args.format))

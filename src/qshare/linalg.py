@@ -126,8 +126,11 @@ def swap_operator(d):
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
+    try:
+        f = np.frombuffer(mmap.mmap(-1, size := d**4 * np.dtype(float).itemsize)).reshape(d * d, d * d)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map the swap operator for d={d}: {size} bytes ({exc})") from exc
     rows = np.arange(d * d)
-    f = np.frombuffer(mmap.mmap(-1, d**4 * np.dtype(float).itemsize)).reshape(d * d, d * d)
     f[rows, (rows % d) * d + rows // d] = 1.0
     return f
 

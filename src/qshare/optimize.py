@@ -42,9 +42,8 @@ _STEP_TOLERANCE = 1e-12
 
 # Largest step in a of the secant search for each branch crossing.
 _TRACE_STEP = 0.005
-# Newton corrector iteration cap, Hessian difference step, crossing tolerance in a.
+# Newton corrector iteration cap and crossing tolerance in a.
 _NEWTON_ITERATIONS = 10
-_DIFFERENCE_STEP = 1e-5
 _CROSSING_TOLERANCE = 1e-13
 
 
@@ -396,16 +395,24 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 
 
 def _tangent_hessian(objective: _SpanObjective, x):
-    """Tangent gradient P g and Riemannian Hessian P sym(H) P at the unit point ``x``.
+    """Tangent gradient P g and exact Riemannian Hessian P H P at the unit point ``x``.
 
-    P = I - x x^T, and H holds central differences of the exact gradient g,
-    all 15 rows in one call; f is scale-free, so x^T g = 0.
+    P = I - x x^T, and x^T g = 0 as f is scale-free.  With rho = M M^T = V diag(w) V^T, w clipped to
+    [SPECTRUM_CLIP, 1], L_ab = (ln w_a - ln w_b) / (w_a - w_b), L_aa = 1 / w_a and E_j = V^T (B_j M^T + M B_j^T) V,
+    Daleckii-Krein gives H_jk = -(sum_ab L_ab E_j,ab E_k,ab + 2 tr(B_j^T ln(rho) B_k)) / ln 2 - 2 f delta_jk.
     """
-    probes = _DIFFERENCE_STEP * np.eye(MODULUS)
-    _, grads = objective.value_and_grad(np.concatenate([x[None], x + probes, x - probes]))
+    (f,), (grad,) = objective.value_and_grad(x[None])
     tangent = np.eye(MODULUS) - np.outer(x, x)
-    hessian = (grads[1 : MODULUS + 1] - grads[MODULUS + 1 :]) / (2.0 * _DIFFERENCE_STEP)
-    return tangent @ grads[0], tangent @ (0.5 * (hessian + hessian.T)) @ tangent
+    m = np.einsum("j,jab->ab", x, objective.basis_mats)
+    w, v = np.linalg.eigh(m @ m.T)
+    w = np.clip(w, SPECTRUM_CLIP, 1.0)
+    gap, low = np.abs(w[:, None] - w), np.minimum(w[:, None], w)
+    divided = np.divide(np.log1p(gap / low), gap, out=1.0 / low, where=gap > 0.0)  # L to a few ulps at any gap
+    half = (rotated := v.T @ objective.basis_mats) @ m.T @ v  # V^T B_j M^T V
+    # Each sum is the Gram matrix of its P-projected factors, so P H P is symmetric to the bit.
+    spectral = tangent @ (np.sqrt(divided) * (half + half.transpose(0, 2, 1))).reshape(MODULUS, -1)
+    logarithmic = tangent @ (np.sqrt(-np.log(w))[:, None] * rotated).reshape(MODULUS, -1)
+    return tangent @ grad, (2 * (logarithmic @ logarithmic.T) - spectral @ spectral.T) / np.log(2) - 2 * f * tangent
 
 
 def _continue_mixed_branch(x, a):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -265,6 +266,20 @@ def test_werner_fit_failure_exits_2(capsys, monkeypatch):
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def test_allocation_failure_exits_2(capsys, monkeypatch):
+    # The refusal is simulated: a real d large enough to be refused could
+    # exhaust the machine's memory before the system says no.
+    def refuse(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr("qshare.linalg.mmap.mmap", refuse)
+    code = main(["singlet", "--d", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot map the swap operator for d=4: 2048 bytes")
 
 
 def test_subcommands_take_only_their_options():

@@ -1,3 +1,4 @@
+import errno
 import math
 
 import numpy as np
@@ -326,3 +327,16 @@ def test_swap_operators_are_writable_and_independent():
     assert f.dtype == np.float64 and f.flags.writeable and f.flags.c_contiguous
     assert not np.shares_memory(f, g)
     assert np.array_equal(g, f / 2.0)
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"), OverflowError("too large")])
+def test_refused_swap_map_raises_memory_error(monkeypatch, error):
+    # A map the system refuses is a MemoryError naming d and the bytes asked
+    # for; the refusal is simulated, so nothing large is ever mapped.
+    def refuse(fileno, length):
+        raise error
+
+    monkeypatch.setattr("qshare.linalg.mmap.mmap", refuse)
+    with pytest.raises(MemoryError, match=r"d=5: 5000 bytes") as info:
+        swap_operator(5)
+    assert info.value.__cause__ is error

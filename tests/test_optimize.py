@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qshare.optimize
 from qshare.linalg import SPECTRUM_CLIP, schmidt_spectrum
 from qshare.measures import Decomposition, pure_entanglement, shannon_entropy
 from qshare.optimize import (
@@ -34,11 +35,25 @@ from qshare.states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 FAST = OptimizationConfig(restarts=20, seed=0)
 SCAN_SEEDS = (0, 1, 2, 3, 5, 7, 11, 12345)
+SOLVERS = (min_span_entanglement, _continue_mixed_branch)
 
 
 @functools.cache
 def fast_scan(seed):
+    # The cache lives for the whole session, so a scan run under a patched
+    # solver would become every later test's reference: refuse it.
+    solvers = (qshare.optimize.min_span_entanglement, qshare.optimize._continue_mixed_branch)
+    assert solvers == SOLVERS, "fast_scan called under a patched solver"
     return maximize_pair_eof(dataclasses.replace(FAST, seed=seed))
+
+
+def difference_hessian(objective, x, step=1e-5):
+    """Tangent Hessian from central differences of the exact gradient, all 15 rows in one call."""
+    probes = step * np.eye(MODULUS)
+    _, grads = objective.value_and_grad(np.concatenate([x[None], x + probes, x - probes]))
+    tangent = np.eye(MODULUS) - np.outer(x, x)
+    hessian = (grads[1 : MODULUS + 1] - grads[MODULUS + 1 :]) / (2.0 * step)
+    return tangent @ (0.5 * (hessian + hessian.T)) @ tangent
 
 
 def vertex_value(a):
@@ -222,6 +237,37 @@ class TestNewtonCorrector:
             u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
             assert u @ hessian @ u == pytest.approx(curvature(u), abs=1e-6)
             assert u @ hessian @ v == pytest.approx((curvature(u + v) - curvature(u - v)) / 4.0, abs=2e-6)
+
+    @pytest.mark.parametrize("a", [0.461, 0.5, 0.539])
+    def test_tangent_hessian_matches_gradient_differences(self, a):
+        # At the mixed minimizer the exact Hessian agrees with central
+        # differences of the gradient to their own truncation error.
+        x, _, converged = _continue_mixed_branch(min_span_entanglement(0.5, FAST).argmin, a)
+        assert converged and np.max(x**2) <= _VERTEX_WEIGHT
+        objective = _SpanObjective(ResidueFamily.from_a(a))
+        hessian = _tangent_hessian(objective, x)[1]
+        assert np.array_equal(hessian, hessian.T)
+        assert np.max(np.abs(hessian - difference_hessian(objective, x))) <= 1e-7
+
+    def test_tangent_hessian_is_symmetric(self):
+        rng = np.random.default_rng(7)
+        for a in (0.0, 0.3, 0.461, 0.5, 1.0):
+            x = rng.standard_normal(7)
+            hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x / np.linalg.norm(x))[1]
+            assert np.array_equal(hessian, hessian.T)
+
+    def test_tangent_hessian_at_a_vertex(self):
+        # At a = 1/2 a basis vertex has Schmidt spectrum (1/4, 1/4, 1/4, 1/4,
+        # 0, 0, 0): four equal eigenvalues take the limit L_aa = 1/w_a, and
+        # three zeros are clipped, so no division or log meets a 0.
+        objective = _SpanObjective(ResidueFamily.from_a(0.5))
+        x = np.eye(MODULUS)[3]
+        assert np.allclose(objective.value_and_grad(x[None])[0], 2.0, atol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grad, hessian = _tangent_hessian(objective, x)
+        assert np.all(np.isfinite(hessian)) and np.array_equal(hessian, hessian.T)
+        assert np.allclose(grad, 0.0, atol=1e-15) and np.allclose(hessian @ x, 0.0, atol=1e-12)
 
     def test_iteration_cap_fails_the_solve(self, monkeypatch):
         start = min_span_entanglement(0.5, FAST).argmin
