@@ -25,8 +25,9 @@ __all__ = [
 PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
-# A near-best restart whose largest squared coefficient is at most this is
-# off-vertex: a mixed-branch minimizer, such as the seed solve at a = 1/2 needs.
+# A point whose largest squared coefficient share exceeds this has reached a
+# basis vertex; a near-best restart at or below it is off-vertex: a
+# mixed-branch minimizer, such as the seed solve at a = 1/2 needs.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -74,9 +75,11 @@ class OptimizationResult:
     ``argmin`` is a real unit 7-vector whose first coefficient above 1e-12
     in magnitude is positive.  ``value`` is the entanglement there and never
     exceeds any entry of ``restart_values``.  No entry exceeds the
-    closed-form value of a basis vertex: a restart that ends above it is
-    replaced by its nearest vertex.  Restarts that did not converge are
-    listed in ``failed_restarts`` but still contribute their best point.
+    closed-form value of a basis vertex: a restart that ends above it, or
+    whose largest squared coefficient exceeds 0.99 (it has reached a
+    vertex), is replaced by its nearest vertex at exactly that value.
+    Restarts that did not converge are listed in ``failed_restarts`` but
+    still contribute their best point.
     ``nontrivial_minimizer`` records whether any near-best restart ended away
     from a basis vertex.
     """
@@ -147,6 +150,10 @@ class _SpanObjective:
         m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
         return shannon_entropy(np.linalg.eigvalsh(m @ m.transpose(0, 2, 1)))
 
+    def at_vertex(self, x):
+        """Whether each row of ``x`` (R, 7) has reached a basis vertex: max x_i^2 > ``_VERTEX_WEIGHT`` |x|^2."""
+        return np.max(x * x, axis=1) > _VERTEX_WEIGHT * np.einsum("ri,ri->r", x, x)
+
     def value_and_grad(self, x):
         """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7).
 
@@ -211,9 +218,11 @@ def _lbfgs(objective: _SpanObjective, x0):
     value by at most ``_VALUE_TOLERANCE`` (relative to max(|f|, 1)), when its
     step is at most ``_STEP_TOLERANCE`` times the length of its point, or when
     its direction does not descend or its line search finds no step longer
-    than that which lowers the value.  It fails when it reaches
-    ``_MAX_ITERATIONS`` accepted steps first.  Returns the final points, the
-    accepted steps per row and which rows converged.
+    than that which lowers the value.  It also converges when an accepted
+    point passes ``objective.at_vertex``: a basis vertex, whose value is
+    known in closed form.  It fails when it reaches ``_MAX_ITERATIONS``
+    accepted steps first.  Returns the final points, the accepted steps per
+    row and which rows converged.
     """
     x = np.array(x0, dtype=float)
     count, dim = x.shape
@@ -268,7 +277,7 @@ def _lbfgs(objective: _SpanObjective, x0):
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f[moved])), 1.0)
         flat = f_old - f[moved] <= _VALUE_TOLERANCE * scale
         small = np.linalg.norm(s_new, axis=1) <= _STEP_TOLERANCE * np.linalg.norm(x[moved], axis=1)
-        stop(moved[flat | small])
+        stop(moved[flat | small | objective.at_vertex(x[moved])])
         running[moved[iterations[moved] >= _MAX_ITERATIONS]] = False
         search(moved[running[moved]])
 
@@ -307,11 +316,11 @@ def _finish(objective: _SpanObjective, x):
     values = np.full(len(x), np.inf)
     values[usable] = objective.entanglement(coeffs[usable])
     # Every basis vertex is feasible at the closed-form vertex value, so a
-    # restart that ends above it (in a worse local minimum, or in the slow
-    # tail of a descent into a basis state) is replaced by its nearest
+    # restart that ends above it (in a worse local minimum) or on a vertex's
+    # cap (in a descent into a basis state) is replaced by its nearest
     # vertex.  No solve then reports more than the vertex value.
     peaks = np.argmax(np.abs(coeffs), axis=1)
-    snap = usable & (values > objective.vertex_value)
+    snap = usable & ((values > objective.vertex_value) | objective.at_vertex(coeffs))
     coeffs[snap] = np.eye(MODULUS)[peaks[snap]]
     values[snap] = objective.vertex_value
     return coeffs, values
@@ -345,7 +354,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     # argmin takes the first of equal values: ties go to the lowest index.
     best = int(np.argmin(restart_values))
     near_best = usable & (restart_values <= restart_values[best] + _NEAR_BEST)
-    off_vertex = np.max(np.abs(coeffs), axis=1) ** 2 <= _VERTEX_WEIGHT
+    off_vertex = ~objective.at_vertex(coeffs)
     return OptimizationResult(
         value=float(restart_values[best]),
         argmin=coeffs[best],

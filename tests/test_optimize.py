@@ -84,6 +84,11 @@ def rotated_orbit(coeffs, family):
     return Decomposition(dec.weights, dec.states @ np.kron(q, np.eye(7)).T)
 
 
+def never_at_vertex(self, x):
+    """A vertex test that never fires: every row runs to the rest of the stopping rule."""
+    return np.zeros(len(x), dtype=bool)
+
+
 # The complex problem over all 14 real coordinates of the span coefficients,
 # kept as an oracle: the optimizer's search of the real span must lose
 # nothing against it.
@@ -135,6 +140,8 @@ class ComplexSpanObjective:
         f[~finite] = np.nan
         grad[~usable] = 0.0
         return f, grad
+
+    at_vertex = never_at_vertex
 
 
 class TestConfig:
@@ -296,12 +303,16 @@ class _Quadratic:
         diff = x - self.centre
         return np.einsum("ri,ri->r", diff, diff), 2.0 * diff
 
+    at_vertex = never_at_vertex
+
 
 class _Plateau:
     """A constant value with a nonzero gradient: no step lowers the value."""
 
     def value_and_grad(self, x):
         return np.ones(len(x)), np.ones_like(x)
+
+    at_vertex = never_at_vertex
 
 
 class TestRestarts:
@@ -510,6 +521,75 @@ class TestVertexBound:
         scan = maximize_pair_eof(OptimizationConfig(restarts=20, seed=7))
         assert abs(scan.a_star - 0.461) <= 0.005
         assert abs(scan.e_star - 1.9944) <= 5e-4
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.45, 0.55, 0.75, 1.0])
+    def test_vertex_branch_solve_reports_the_vertex_exactly(self, a):
+        # A descent into a basis vertex ends on it at V(a), not a few 1e-12
+        # below, where the spectrum clip drops the smallest eigenvalues.
+        result = min_span_entanglement(a, OptimizationConfig(restarts=40, seed=0))
+        assert result.value == vertex_value(a)
+        assert np.array_equal(result.argmin, np.eye(MODULUS)[np.argmax(result.argmin)])
+
+
+class TestVertexRetirement:
+    def test_vertex_cap_holds_no_lower_point(self):
+        # The premise of retiring a restart on the cap: no point there lies
+        # below V(a) by more than the spectrum clip's round-off.
+        rng = np.random.default_rng(11)
+        share = np.repeat([0.9901, 0.995, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9], 100)
+        rows = np.arange(len(share))
+        for a in np.linspace(0.0, 1.0, 41):
+            objective = _SpanObjective(ResidueFamily.from_a(a))
+            peaks = rng.integers(MODULUS, size=len(share))
+            rest = rng.standard_normal((len(share), MODULUS))
+            rest[rows, peaks] = 0.0
+            x = np.sqrt(1.0 - share)[:, None] * rest / np.linalg.norm(rest, axis=1, keepdims=True)
+            x[rows, peaks] = rng.choice([-1.0, 1.0], len(share)) * np.sqrt(share)
+            assert objective.at_vertex(x).all()
+            assert np.min(objective.entanglement(x)) >= objective.vertex_value - 1e-11
+
+    def test_point_on_the_cap_reports_its_vertex(self):
+        # 1e-11 of the weight off e_2 spreads into eigenvalues the spectrum
+        # clip drops, so the computed value is 2.3e-12 below V(a).
+        objective = _SpanObjective(ResidueFamily.from_a(0.45))
+        x = np.full((1, MODULUS), np.sqrt(1e-11 / 6))
+        x[0, 2] = -np.sqrt(1.0 - 1e-11)
+        assert objective.entanglement(x)[0] < objective.vertex_value
+        coeffs, values = _finish(objective, x)
+        assert values[0] == objective.vertex_value
+        assert np.array_equal(coeffs[0], np.eye(MODULUS)[2])
+
+    @pytest.mark.parametrize("a", [0.461, 0.5, 0.53])
+    def test_retirement_moves_only_vertex_values(self, monkeypatch, a):
+        # Against runs that never retire, a restart below V(a) keeps its value
+        # to the bit and every other one reports V(a) exactly.
+        vertex = vertex_value(a)
+        for seed in range(4):
+            config = OptimizationConfig(restarts=40, seed=seed)
+            retired = min_span_entanglement(a, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(_SpanObjective, "at_vertex", never_at_vertex)
+                full = min_span_entanglement(a, config)
+            below = full.restart_values < vertex - 1e-9
+            assert np.array_equal(retired.restart_values[below], full.restart_values[below])
+            assert np.all(retired.restart_values[~below] == vertex)
+            assert retired.failed_restarts == full.failed_restarts
+
+    def test_retirement_cuts_the_lockstep_tail(self, monkeypatch):
+        evaluate = _SpanObjective.value_and_grad
+        rounds = []
+
+        def counted(self, x):
+            rounds[-1] += 1
+            return evaluate(self, x)
+
+        monkeypatch.setattr(_SpanObjective, "value_and_grad", counted)
+        for at_vertex in (_SpanObjective.at_vertex, never_at_vertex):
+            monkeypatch.setattr(_SpanObjective, "at_vertex", at_vertex)
+            rounds.append(0)
+            for seed in range(4):
+                min_span_entanglement(0.5, OptimizationConfig(restarts=40, seed=seed))
+        assert rounds[0] <= 0.75 * rounds[1]
 
 
 class TestPairEof:
