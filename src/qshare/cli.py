@@ -51,6 +51,17 @@ def _config_from_args(args):
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
+def _report(command, inputs, results, residuals, warnings) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "residuals": residuals,
+        "warnings": warnings,
+    }
+
+
 def run_table(args) -> dict:
     """Pairwise sharing bounds for three particles at d = 2, 3, 7."""
     config = _config_from_args(args)
@@ -72,14 +83,8 @@ def run_table(args) -> dict:
         {"d": 3, "n": 3, "e_bound": e3, "ratio": e3 / math.log2(3), "provenance": "closed-form"},
         {"d": 7, "n": 3, "e_bound": scan.e_star, "ratio": scan.e_star / math.log2(7), "provenance": "optimized"},
     ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "table",
-        "inputs": {"seed": config.seed, "restarts": config.restarts},
-        "results": {"rows": rows, "a_star": scan.a_star},
-        "residuals": {"werner_fit_d3": fit3.residual},
-        "warnings": warnings,
-    }
+    inputs = {"seed": config.seed, "restarts": config.restarts}
+    return _report("table", inputs, {"rows": rows, "a_star": scan.a_star}, {"werner_fit_d3": fit3.residual}, warnings)
 
 
 def run_singlet(args) -> dict:
@@ -92,14 +97,7 @@ def run_singlet(args) -> dict:
     residuals = {"werner_fit": fit.residual}
     if d <= 5:
         residuals["full_state_cross_check"] = singlet_cross_check(d, rho)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "singlet",
-        "inputs": {"d": d},
-        "results": results,
-        "residuals": residuals,
-        "warnings": [],
-    }
+    return _report("singlet", {"d": d}, results, residuals, [])
 
 
 def run_family(args) -> dict:
@@ -113,21 +111,17 @@ def run_family(args) -> dict:
 
     reconstruction, average_gap = orbit_certificate(result, args.a)
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
-        "inputs": {"a": family.a, "seed": config.seed, "restarts": config.restarts},
-        "results": {
-            "b": family.b,
-            "min_entanglement": result.value,
-            "argmin": [[float(c), 0.0] for c in result.argmin],  # schema 1 keeps [re, im] pairs
-            "restart_index": result.restart_index,
-            "iterations_used": result.iterations_used,
-            "nontrivial_minimizer": result.nontrivial_minimizer,
-        },
-        "residuals": {"decomposition_reconstruction": reconstruction, "decomposition_average_gap": average_gap},
-        "warnings": warnings,
+    results = {
+        "b": family.b,
+        "min_entanglement": result.value,
+        "argmin": [[float(c), 0.0] for c in result.argmin],  # schema 1 keeps [re, im] pairs
+        "restart_index": result.restart_index,
+        "iterations_used": result.iterations_used,
+        "nontrivial_minimizer": result.nontrivial_minimizer,
     }
+    residuals = {"decomposition_reconstruction": reconstruction, "decomposition_average_gap": average_gap}
+    inputs = {"a": family.a, "seed": config.seed, "restarts": config.restarts}
+    return _report("family", inputs, results, residuals, warnings)
 
 
 def run_verify(args) -> dict:
@@ -135,18 +129,13 @@ def run_verify(args) -> dict:
     config = _config_from_args(args)
     checks = run_all_checks(config)
     failed = [c.name for c in checks if not c.passed]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "inputs": {"seed": config.seed, "restarts": config.restarts},
-        "results": {
-            "checks": [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks],
-            "n_passed": len(checks) - len(failed),
-            "n_failed": len(failed),
-        },
-        "residuals": {},
-        "warnings": [f"check failed: {name}" for name in failed],
+    results = {
+        "checks": [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks],
+        "n_passed": len(checks) - len(failed),
+        "n_failed": len(failed),
     }
+    inputs = {"seed": config.seed, "restarts": config.restarts}
+    return _report("verify", inputs, results, {}, [f"check failed: {name}" for name in failed])
 
 
 def _fmt(value):

@@ -28,20 +28,25 @@ def run_cli(capsys, argv):
     return code, out
 
 
-def test_table_json_schema_and_roundtrip(capsys):
-    code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", *TABLE_ARGS],
+        ["singlet", "--d", "3"],
+        ["family", "--a", "0.5", "--restarts", "5"],
+        ["verify", "--restarts", "2"],
+    ],
+    ids=["table", "singlet", "family", "verify"],
+)
+def test_table_json_schema_and_roundtrip(capsys, argv):
+    code, out = run_cli(capsys, [*argv, "--format", "json"])
     assert code == 0
     report = json.loads(out)
     assert set(report) == {"schema_version", "command", "inputs", "results", "residuals", "warnings"}
     assert report["schema_version"] == 1
-    assert report["command"] == "table"
+    assert report["command"] == argv[0]
     # Full-precision floats survive a round-trip.
     assert json.loads(json.dumps(report)) == report
-    rows = report["results"]["rows"]
-    assert [r["d"] for r in rows] == [2, 3, 7]
-    assert [r["provenance"] for r in rows] == ["known-bound", "closed-form", "optimized"]
-    for row in rows:
-        assert row["ratio"] == pytest.approx(row["e_bound"] / np.log2(row["d"]), abs=1e-9)
 
 
 def test_table_default_grid_meets_reference(capsys):
@@ -52,6 +57,11 @@ def test_table_default_grid_meets_reference(capsys):
     results = report["results"]
     assert abs(results["a_star"] - 0.4609984) <= 1e-7
     assert abs(results["rows"][2]["e_bound"] - 1.9943982) <= 1e-7
+    rows = results["rows"]
+    assert [r["d"] for r in rows] == [2, 3, 7]
+    assert [r["provenance"] for r in rows] == ["known-bound", "closed-form", "optimized"]
+    for row in rows:
+        assert row["ratio"] == pytest.approx(row["e_bound"] / np.log2(row["d"]), abs=1e-9)
 
 
 def test_table_fails_on_a_corrupted_orbit(capsys, monkeypatch):
@@ -374,7 +384,9 @@ def test_failed_check_exits_1_without_strict(capsys, monkeypatch):
 def test_measure_checks_fail_when_the_werner_fit_rejects(monkeypatch):
     monkeypatch.setattr("qshare.checks.werner_fit", lambda rho, d: None)
     results = measure_checks(np.random.default_rng(0))
-    assert results[-1] == CheckResult("werner concurrence linear form", False, "fit rejected an exact Werner state")
+    assert results[-1] == CheckResult(
+        "werner concurrence equals its linear form", False, "fit rejected an exact Werner state"
+    )
     assert [r.passed for r in results[:-1]] == [True] * 3
 
 
@@ -414,7 +426,42 @@ def test_singlet_cross_check_sees_a_wrong_marginal():
     assert singlet_cross_check(3, np.identity(9) / 9) > 0.01
 
 
+FAMILY_CHECK_NAMES = [
+    "residue set is the quadratic residues and doubling-closed",
+    "pair basis is orthonormal",
+    "pair density matches the traced member state",
+    "member state is cyclic-permutation invariant",
+    "all three pair marginals share one spectrum",
+    "equivalent index patterns build one state",
+    "pair symmetries act by phase and shift on the basis",
+    "orbit decompositions rebuild the pair density",
+    "orbit elements share one entanglement",
+]
+
+
 def test_run_all_checks_green():
     results = run_all_checks(OptimizationConfig(restarts=10, seed=0))
     failed = [r.name for r in results if not r.passed]
     assert failed == []
+    # The check names are part of verify's report, so a renamed or dropped
+    # check fails here.  The family checks run at a = 0.461 and then a = 0.5.
+    assert [r.name for r in results] == [
+        "schmidt spectrum matches partial-trace route",
+        "reduced spectra agree on both sides of a cut",
+        "qubit E_f of projectors matches pure-state entropy",
+        "concurrence curve is monotone",
+        "werner and qubit E_f agree for two qubits",
+        "werner concurrence equals its linear form",
+        *FAMILY_CHECK_NAMES,
+        *FAMILY_CHECK_NAMES,
+        "singlet is invariant under collective rotations",
+        "singlet pair marginals match the closed form",
+        "singlet pairs carry exactly one ebit",
+        "closed-form pair marginal has unit concurrence",
+        "minimum lower-bounds sampled span states",
+        "argmin reproduces the reported value",
+        "multistart is deterministic for a fixed seed",
+        "global phase does not change the objective",
+        "orbit images keep the seed's entanglement",
+        "aligned-weight endpoints evaluate cleanly",
+    ]
