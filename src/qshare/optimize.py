@@ -9,6 +9,7 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,10 @@ class OptimizationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.seed < 0:
@@ -144,11 +149,6 @@ class _SpanObjective:
         # Pair state j reshaped to the real 7x7 amplitude matrix across the cut.
         self.basis_mats = family.pair_basis().real.reshape(MODULUS, MODULUS, MODULUS)
         self.vertex_value = _vertex_entanglement(family)
-
-    def entanglement(self, coeffs):
-        """Entanglement (R,) at each row of unit-norm real coefficients (R, 7)."""
-        m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
-        return shannon_entropy(np.linalg.eigvalsh(m @ m.transpose(0, 2, 1)))
 
     def at_vertex(self, x):
         """Whether each row of ``x`` (R, 7) has reached a basis vertex: max x_i^2 > ``_VERTEX_WEIGHT`` |x|^2."""
@@ -314,7 +314,7 @@ def _finish(objective: _SpanObjective, x):
     lead = np.argmax(np.abs(coeffs) > 1e-12, axis=1)
     coeffs *= np.copysign(1.0, coeffs[np.arange(len(x)), lead])[:, None]
     values = np.full(len(x), np.inf)
-    values[usable] = objective.entanglement(coeffs[usable])
+    values[usable] = objective.value_and_grad(coeffs[usable])[0]
     # Every basis vertex is feasible at the closed-form vertex value, so a
     # restart that ends above it (in a worse local minimum) or on a vertex's
     # cap (in a descent into a basis state) is replaced by its nearest
@@ -404,7 +404,7 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 
 
 def _tangent_hessian(objective: _SpanObjective, x):
-    """Tangent gradient P g and exact Riemannian Hessian P H P at the unit point ``x``.
+    """Value f, tangent gradient P g and exact Riemannian Hessian P H P at the unit point ``x``.
 
     P = I - x x^T, and x^T g = 0 as f is scale-free.  With rho = M M^T = V diag(w) V^T, w clipped to
     [SPECTRUM_CLIP, 1], L_ab = (ln w_a - ln w_b) / (w_a - w_b), L_aa = 1 / w_a and E_j = V^T (B_j M^T + M B_j^T) V,
@@ -421,7 +421,7 @@ def _tangent_hessian(objective: _SpanObjective, x):
     # Each sum is the Gram matrix of its P-projected factors, so P H P is symmetric to the bit.
     spectral = tangent @ (np.sqrt(divided) * (half + half.transpose(0, 2, 1))).reshape(MODULUS, -1)
     logarithmic = tangent @ (np.sqrt(-np.log(w))[:, None] * rotated).reshape(MODULUS, -1)
-    return tangent @ grad, (2 * (logarithmic @ logarithmic.T) - spectral @ spectral.T) / np.log(2) - 2 * f * tangent
+    return f, tangent @ grad, (2 * (logarithmic @ logarithmic.T) - spectral @ spectral.T) / np.log(2) - 2 * f * tangent
 
 
 def _continue_mixed_branch(x, a):
@@ -429,20 +429,21 @@ def _continue_mixed_branch(x, a):
 
     Each iteration solves (P H P + x x^T) s = -P g and retracts x + s onto the
     sphere, until |s| <= ``_STEP_TOLERANCE``; a singular system or the
-    iteration cap fails the solve.  g = M - V at the final x.
+    iteration cap fails the solve.  The returned x is the last point
+    evaluated, and g = M - V there.
     """
     converged = False
     objective = _SpanObjective(ResidueFamily.from_a(a))
-    for _ in range(_NEWTON_ITERATIONS):
-        grad, hessian = _tangent_hessian(objective, x)
+    for iteration in range(_NEWTON_ITERATIONS):
+        f, grad, hessian = _tangent_hessian(objective, x)
         try:
             step = np.linalg.solve(hessian + np.outer(x, x), -grad)
         except np.linalg.LinAlgError:
             break
-        x = (x + step) / np.linalg.norm(x + step)
-        if converged := np.linalg.norm(step) <= _STEP_TOLERANCE:
+        if (converged := np.linalg.norm(step) <= _STEP_TOLERANCE) or iteration == _NEWTON_ITERATIONS - 1:
             break
-    return x, float(objective.entanglement(x[None])[0]) - objective.vertex_value, bool(converged)
+        x = (x + step) / np.linalg.norm(x + step)
+    return x, float(f) - objective.vertex_value, bool(converged)
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
@@ -498,7 +499,7 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         raise RuntimeError(f"crossing certificate failed at a={a}: solve {result.value!r} below V(a) {e_star!r}")
     orbit_certificate(result, a)
     # The normal direction x, lifted above every tangent curvature, drops out.
-    hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x)[1]
+    hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x)[2]
     hessian += (1.0 + np.abs(hessian).sum()) * np.outer(x, x)
     return ScanResult(
         a_star=a,

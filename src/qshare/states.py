@@ -88,10 +88,6 @@ def singlet_pair_reduced(d):
     return rho
 
 
-def _flat3(i, j, k):
-    return (i % MODULUS) * 49 + (j % MODULUS) * 7 + (k % MODULUS)
-
-
 def _flat2(i, j):
     return (i % MODULUS) * 7 + (j % MODULUS)
 
@@ -112,7 +108,7 @@ class ResidueFamily:
 
     a: float
     b: float
-    residues: tuple[int, ...] = (1, 2, 4)
+    residues: tuple[int, ...] = tuple(sorted(quadratic_residues(MODULUS)))
 
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0 or self.b < 0.0:
@@ -131,18 +127,11 @@ class ResidueFamily:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a must lie in [0, 1], got {a}")
         b = math.sqrt(max(0.0, 1.0 - a * a) / 3.0)
-        return cls(a=a, b=b, residues=tuple(sorted(quadratic_residues(MODULUS))))
+        return cls(a=a, b=b)
 
     def state(self) -> np.ndarray:
-        """The 343-amplitude three-particle member, unit norm."""
-        amp = np.zeros(MODULUS**3, dtype=complex)
-        w_a = self.a / math.sqrt(MODULUS)
-        w_b = self.b / math.sqrt(MODULUS)
-        for j in range(MODULUS):
-            amp[_flat3(j, j, j)] += w_a
-            for k in self.residues:
-                amp[_flat3(j + k, j + 2 * k, j + 4 * k)] += w_b
-        return amp
+        """The 343-amplitude member sum_l |l> |pair_l> / sqrt(7), unit norm."""
+        return (self.pair_basis().real / math.sqrt(MODULUS)).astype(complex).reshape(-1)
 
     def pair_state(self, j) -> np.ndarray:
         """Pair ket tied to level j of the traced-out particle, 49 amplitudes.
@@ -173,6 +162,8 @@ class ResidueFamily:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (MODULUS,):
             raise ValueError(f"need {MODULUS} span coefficients, got shape {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("span coefficients must be finite")
         if abs(np.linalg.norm(coeffs) - 1.0) > 1e-10:
             raise ValueError("span coefficients must be unit norm")
         return coeffs @ self.pair_basis()
@@ -221,17 +212,16 @@ def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
     The 49 elements pair_shift^p pair_phase^m |seed> each carry weight 1/49;
     their mixture reproduces ``family.pair_density()`` and every element has
     the seed's entanglement, because the orbit operators are local unitaries.
+    As pair_phase multiplies pair state j by omega^j and pair_shift maps it
+    to pair state j+1, element (m, p) has the seed's span coefficients times
+    omega^(mj), rolled by p.
     """
-    ops = symmetry_operators()
-    seed = family.span_state(coeffs)
-    states = np.empty((49, seed.size), dtype=complex)
-    phased = seed
-    for m in range(MODULUS):
-        shifted = phased
-        for p in range(MODULUS):
-            states[MODULUS * m + p] = shifted
-            shifted = ops.pair_shift @ shifted
-        phased = ops.pair_phase @ phased
+    coeffs = np.asarray(coeffs, dtype=complex)
+    family.span_state(coeffs)  # validates the coefficients
+    levels = np.arange(MODULUS)
+    phased = coeffs * symmetry_operators().omega ** (np.outer(levels, levels) % MODULUS)  # row m
+    rolled = np.stack([np.roll(phased, p, axis=1) for p in range(MODULUS)], axis=1)  # [m, p]
+    states = rolled.reshape(49, MODULUS) @ family.pair_basis()
     weights = np.full(49, 1.0 / 49.0)
     return Decomposition(weights=weights, states=states)
 

@@ -31,7 +31,7 @@ from qshare.optimize import (
     pair_eof,
     span_entanglement,
 )
-from qshare.states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
+from qshare.states import MODULUS, ResidueFamily, orbit_decomposition
 
 FAST = OptimizationConfig(restarts=20, seed=0)
 SCAN_SEEDS = (0, 1, 2, 3, 5, 7, 11, 12345)
@@ -159,6 +159,12 @@ class TestConfig:
             OptimizationConfig(value_tolerance=2.0)
         with pytest.raises(ValueError):
             OptimizationConfig(seed=-1)
+        for field in ("restarts", "seed"):
+            for bad in (2.5, 3.0, True, np.True_, "3", None):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    OptimizationConfig(**{field: bad})
+        config = OptimizationConfig(restarts=np.int64(3), seed=np.uint8(2))
+        assert (config.restarts, config.seed) == (3, 2)
 
 
 class TestSpanEntanglement:
@@ -177,7 +183,7 @@ class TestSpanEntanglement:
         rng = np.random.default_rng(0)
         coeffs = random_coeffs(rng)
         phase = np.exp(0.9j)
-        assert span_entanglement(gauge_fix(phase * coeffs), 0.5) == pytest.approx(
+        assert span_entanglement(phase * coeffs, 0.5) == pytest.approx(
             span_entanglement(coeffs, 0.5), abs=1e-12
         )
 
@@ -228,9 +234,9 @@ class TestNewtonCorrector:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(7)
         x /= np.linalg.norm(x)
-        grad, hessian = _tangent_hessian(objective, x)
-        _, full = objective.value_and_grad(x[None])
-        assert np.allclose(grad, full[0], atol=1e-15)
+        value, grad, hessian = _tangent_hessian(objective, x)
+        (f,), (full,) = objective.value_and_grad(x[None])
+        assert value == f and np.allclose(grad, full, atol=1e-15)
         assert np.allclose(hessian @ x, 0.0, atol=1e-12)
         tangent = np.eye(7) - np.outer(x, x)
         step = 1e-4
@@ -252,7 +258,7 @@ class TestNewtonCorrector:
         x, _, converged = _continue_mixed_branch(min_span_entanglement(0.5, FAST).argmin, a)
         assert converged and np.max(x**2) <= _VERTEX_WEIGHT
         objective = _SpanObjective(ResidueFamily.from_a(a))
-        hessian = _tangent_hessian(objective, x)[1]
+        hessian = _tangent_hessian(objective, x)[2]
         assert np.array_equal(hessian, hessian.T)
         assert np.max(np.abs(hessian - difference_hessian(objective, x))) <= 1e-7
 
@@ -260,7 +266,7 @@ class TestNewtonCorrector:
         rng = np.random.default_rng(7)
         for a in (0.0, 0.3, 0.461, 0.5, 1.0):
             x = rng.standard_normal(7)
-            hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x / np.linalg.norm(x))[1]
+            hessian = _tangent_hessian(_SpanObjective(ResidueFamily.from_a(a)), x / np.linalg.norm(x))[2]
             assert np.array_equal(hessian, hessian.T)
 
     def test_tangent_hessian_at_a_vertex(self):
@@ -272,7 +278,7 @@ class TestNewtonCorrector:
         assert np.allclose(objective.value_and_grad(x[None])[0], 2.0, atol=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            grad, hessian = _tangent_hessian(objective, x)
+            _, grad, hessian = _tangent_hessian(objective, x)
         assert np.all(np.isfinite(hessian)) and np.array_equal(hessian, hessian.T)
         assert np.allclose(grad, 0.0, atol=1e-15) and np.allclose(hessian @ x, 0.0, atol=1e-12)
 
@@ -284,6 +290,43 @@ class TestNewtonCorrector:
         capped, capped_gap, converged = _continue_mixed_branch(start, 0.495)
         assert not converged
         assert np.all(np.isfinite(capped)) and capped_gap < 0.0
+
+    @pytest.mark.parametrize("a", [0.461, 0.495, 0.53])
+    def test_one_evaluation_per_iteration(self, monkeypatch, a):
+        # Every Newton iteration evaluates the objective once, in
+        # _tangent_hessian, and the returned gap is that evaluation's: no
+        # extra value is taken after the last step, so the only other
+        # eigendecomposition is the Hessian's own.
+        start = min_span_entanglement(0.5, FAST).argmin
+        calls = {}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(_SpanObjective, "value_and_grad", counted("value_and_grad", _SpanObjective.value_and_grad))
+        monkeypatch.setattr("qshare.optimize._tangent_hessian", counted("iterations", _tangent_hessian))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
+        for cap in (1, 2, 10):
+            monkeypatch.setattr("qshare.optimize._NEWTON_ITERATIONS", cap)
+            calls.update(value_and_grad=0, iterations=0, eigh=0)
+            _, _, converged = _continue_mixed_branch(start, a)
+            assert 1 <= calls["value_and_grad"] == calls["iterations"] <= cap
+            assert calls["eigh"] == 2 * calls["iterations"]
+            assert converged or calls["iterations"] == cap
+
+    @pytest.mark.parametrize("a", [0.0, 0.461, 0.495, 1.0])
+    def test_gap_is_taken_at_the_returned_point(self, monkeypatch, a):
+        start = min_span_entanglement(0.5, FAST).argmin
+        objective = _SpanObjective(ResidueFamily.from_a(a))
+        for cap in (1, 3, 10):
+            monkeypatch.setattr("qshare.optimize._NEWTON_ITERATIONS", cap)
+            x, gap, _ = _continue_mixed_branch(start, a)
+            assert gap == objective.value_and_grad(x[None])[0][0] - objective.vertex_value
 
     @pytest.mark.parametrize("a", (0.0, 1.0))
     def test_evaluates_only_at_its_own_weight(self, a):
@@ -546,7 +589,7 @@ class TestVertexRetirement:
             x = np.sqrt(1.0 - share)[:, None] * rest / np.linalg.norm(rest, axis=1, keepdims=True)
             x[rows, peaks] = rng.choice([-1.0, 1.0], len(share)) * np.sqrt(share)
             assert objective.at_vertex(x).all()
-            assert np.min(objective.entanglement(x)) >= objective.vertex_value - 1e-11
+            assert np.min(objective.value_and_grad(x)[0]) >= objective.vertex_value - 1e-11
 
     def test_point_on_the_cap_reports_its_vertex(self):
         # 1e-11 of the weight off e_2 spreads into eigenvalues the spectrum
@@ -554,7 +597,7 @@ class TestVertexRetirement:
         objective = _SpanObjective(ResidueFamily.from_a(0.45))
         x = np.full((1, MODULUS), np.sqrt(1e-11 / 6))
         x[0, 2] = -np.sqrt(1.0 - 1e-11)
-        assert objective.entanglement(x)[0] < objective.vertex_value
+        assert objective.value_and_grad(x)[0][0] < objective.vertex_value
         coeffs, values = _finish(objective, x)
         assert values[0] == objective.vertex_value
         assert np.array_equal(coeffs[0], np.eye(MODULUS)[2])

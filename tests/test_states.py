@@ -21,6 +21,8 @@ from qshare.states import (
 # Coefficient vector reported for the optimal aligned weight; its span state
 # must evaluate to the same minimum as the pair basis states there.
 REPORTED_COEFFS = np.array([0.120, 0.197, 0.689, 0.259, -0.468, -0.275, -0.332])
+# Three distinct labels that are not the quadratic residues mod 7.
+CORRUPTED = ResidueFamily(a=0.5, b=0.5, residues=(1, 2, 3))
 
 
 def random_coeffs(rng):
@@ -178,10 +180,9 @@ class TestResidueFamily:
     def test_equivalent_index_patterns(self):
         # The doubled-residue and shifted-label rewrites permute which term
         # lands where, but every amplitude is a single assignment, so the
-        # three builds must agree exactly.
-        family = ResidueFamily.from_a(0.37)
-
-        def build(pattern):
+        # three builds must agree exactly, and with the member built from the
+        # pair basis, for a corrupted residue set too.
+        def build(family, pattern):
             amp = np.zeros(343, dtype=complex)
             for j in range(7):
                 amp[j * 49 + j * 7 + j] += family.a / math.sqrt(7.0)
@@ -190,10 +191,15 @@ class TestResidueFamily:
                     amp[(x % 7) * 49 + (y % 7) * 7 + (z % 7)] += family.b / math.sqrt(7.0)
             return amp
 
-        base = build(lambda j, k: (j + k, j + 2 * k, j + 4 * k))
-        doubled = build(lambda j, k: (j + 2 * k, j + 4 * k, j + k))
-        shifted = build(lambda j, k: (j, j + k, j + 3 * k))
-        assert np.array_equal(base, family.state())
+        def residue_terms(j, k):
+            return j + k, j + 2 * k, j + 4 * k
+
+        for family in [ResidueFamily.from_a(a) for a in (0.0, 0.37, 0.461, 0.5, 1.0)] + [CORRUPTED]:
+            assert np.array_equal(build(family, residue_terms), family.state())
+        family = ResidueFamily.from_a(0.37)
+        base = build(family, residue_terms)
+        doubled = build(family, lambda j, k: (j + 2 * k, j + 4 * k, j + k))
+        shifted = build(family, lambda j, k: (j, j + k, j + 3 * k))
         assert np.array_equal(base, doubled)
         assert np.array_equal(base, shifted)
 
@@ -265,6 +271,18 @@ class TestSpanState:
             family.span_state(np.ones(7))
         with pytest.raises(ValueError, match="need 7 span coefficients"):
             family.span_state(np.ones(6) / np.sqrt(6.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # A NaN norm compares False against the unit-norm tolerance, so it
+        # needs its own check.
+        family = ResidueFamily.from_a(0.5)
+        coeffs = np.eye(7, dtype=complex)[0]
+        coeffs[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            family.span_state(coeffs)
+        with pytest.raises(ValueError, match="must be finite"):
+            orbit_decomposition(coeffs, family)
 
 
 class TestGaugeFix:
@@ -339,6 +357,24 @@ class TestOrbitDecomposition:
                 assert np.max(np.abs(dec.mixture() - family.pair_density())) < 1e-10
                 values = [pure_entanglement(s, (7, 7), (0,)) for s in dec.states]
                 assert max(values) - min(values) < 1e-10
+
+    def test_matches_operator_orbit(self):
+        # Element 7m + p is pair_shift^p pair_phase^m |seed>, applied as
+        # matrices; the span-coefficient build must agree for any residue set.
+        ops = symmetry_operators()
+        rng = np.random.default_rng(8)
+        families = [ResidueFamily.from_a(a) for a in (0.0, 0.3, 0.461, 0.5, 1.0)] + [CORRUPTED]
+        for family in families:
+            coeffs = random_coeffs(rng)
+            expected = []
+            phased = family.span_state(coeffs)
+            for _ in range(7):
+                shifted = phased
+                for _ in range(7):
+                    expected.append(shifted)
+                    shifted = ops.pair_shift @ shifted
+                phased = ops.pair_phase @ phased
+            assert np.max(np.abs(orbit_decomposition(coeffs, family).states - np.array(expected))) < 1e-14
 
 
 class TestCyclicPermute:
