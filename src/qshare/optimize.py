@@ -33,6 +33,9 @@ _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
 _NEAR_BEST = 1e-6
+# Restarts within this of the best value tie: the lowest-index one is the
+# witness, so the report does not follow the last bit of the arithmetic.
+_WITNESS_TIE = 1e-11
 
 # L-BFGS: curvature pairs kept per restart, the sufficient-decrease
 # constant of the backtracking line search, and the stopping rule of _lbfgs.
@@ -77,12 +80,13 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best local minimum found over all restarts.
 
-    ``argmin`` is a real unit 7-vector whose first coefficient above 1e-12
-    in magnitude is positive.  ``value`` is the entanglement there and never
-    exceeds any entry of ``restart_values``.  No entry exceeds the
-    closed-form value of a basis vertex: a restart that ends above it, or
-    whose largest squared coefficient exceeds 0.99 (it has reached a
-    vertex), is replaced by its nearest vertex at exactly that value.
+    The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11)
+    of the smallest entry of ``restart_values``: ``restart_index``, and its
+    own ``value``, ``iterations_used`` and ``argmin``, a real unit 7-vector
+    whose first coefficient above 1e-12 in magnitude is positive.  No entry
+    exceeds the closed-form value of a basis vertex: a restart that ends
+    above it, or whose largest squared coefficient exceeds 0.99 (it has
+    reached a vertex), is replaced by its nearest vertex at exactly that value.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
     ``nontrivial_minimizer`` records whether any near-best restart ended away
@@ -147,7 +151,7 @@ class _SpanObjective:
 
     def __init__(self, family: ResidueFamily):
         # Pair state j reshaped to the real 7x7 amplitude matrix across the cut.
-        self.basis_mats = family.pair_basis().real.reshape(MODULUS, MODULUS, MODULUS)
+        self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
         self.vertex_value = _vertex_entanglement(family)
 
     def at_vertex(self, x):
@@ -337,10 +341,10 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
 
     Runs ``config.restarts`` local minimizations from seeded random starting
     points, all advanced together as one batch, and keeps the best local
-    minimum (ties broken by the lowest restart index).  A restart's outcome
-    depends only on its own start, so identical (a, seed) inputs reproduce
-    identical restart values, and the first k restarts of a larger run
-    equal a run of k restarts.
+    minimum (the lowest-index restart within ``_WITNESS_TIE`` of it).  A
+    restart's outcome depends only on its own start, so identical (a, seed)
+    inputs reproduce identical restart values, and the first k restarts of
+    a larger run equal a run of k restarts.
     """
     config = config or OptimizationConfig()
     family = ResidueFamily.from_a(a)
@@ -351,9 +355,9 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     usable = np.isfinite(restart_values)
     if not usable.any():
         raise RuntimeError(f"all {config.restarts} restarts failed at a={a}")
-    # argmin takes the first of equal values: ties go to the lowest index.
-    best = int(np.argmin(restart_values))
-    near_best = usable & (restart_values <= restart_values[best] + _NEAR_BEST)
+    lowest = restart_values.min()
+    best = int(np.argmax(restart_values <= lowest + _WITNESS_TIE))
+    near_best = usable & (restart_values <= lowest + _NEAR_BEST)
     off_vertex = ~objective.at_vertex(coeffs)
     return OptimizationResult(
         value=float(restart_values[best]),

@@ -20,6 +20,7 @@ from .measures import Decomposition
 
 __all__ = [
     "MODULUS",
+    "OMEGA",
     "quadratic_residues",
     "singlet_state",
     "singlet_pair_reduced",
@@ -35,6 +36,8 @@ __all__ = [
 # The three-particle family lives on seven-level systems; 7 is a prime of the
 # form 4N - 1, which is what makes its residue set work out.
 MODULUS = 7
+# Primitive 7th root of unity: the pair phase multiplies pair state j by OMEGA^j.
+OMEGA = complex(np.exp(2j * np.pi / MODULUS))
 
 
 def quadratic_residues(p):
@@ -88,18 +91,14 @@ def singlet_pair_reduced(d):
     return rho
 
 
-def _flat2(i, j):
-    return (i % MODULUS) * 7 + (j % MODULUS)
-
-
 @dataclass(frozen=True)
 class ResidueFamily:
     """One-parameter family of three seven-level particles.
 
     Each label j contributes an aligned term a|j,j,j> plus terms
     b|j+k, j+2k, j+4k> for k in the residue set, all label arithmetic mod 7.
-    Normalization requires a^2 + 3 b^2 = 1, so the member is fixed by ``a``
-    alone; use :meth:`from_a`.
+    Normalization a^2 + 3 b^2 = 1 fixes b >= 0, so the member is a function
+    of ``a`` alone.
 
     Direct construction accepts any three distinct nonzero residues, which is
     deliberate: the verification suite uses it to demonstrate that a corrupted
@@ -107,66 +106,63 @@ class ResidueFamily:
     """
 
     a: float
-    b: float
     residues: tuple[int, ...] = tuple(sorted(quadratic_residues(MODULUS)))
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0 or self.b < 0.0:
-            raise ValueError(f"weights out of range: a={self.a}, b={self.b}")
-        if abs(self.a * self.a + 3.0 * self.b * self.b - 1.0) > 1e-12:
-            raise ValueError("weights must satisfy a^2 + 3 b^2 = 1")
+        a = float(self.a)
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"a must lie in [0, 1], got {self.a}")
         res = tuple(int(k) for k in self.residues)
         if len(res) != 3 or len(set(res)) != 3 or not all(1 <= k <= 6 for k in res):
             raise ValueError(f"residues must be three distinct labels in 1..6, got {res}")
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "residues", res)
 
     @classmethod
     def from_a(cls, a):
         """Family member for aligned weight ``a`` in [0, 1]."""
-        a = float(a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"a must lie in [0, 1], got {a}")
-        b = math.sqrt(max(0.0, 1.0 - a * a) / 3.0)
-        return cls(a=a, b=b)
+        return cls(a)
+
+    @property
+    def b(self) -> float:
+        """Weight of each residue term, sqrt((1 - a^2) / 3)."""
+        return math.sqrt(max(0.0, 1.0 - self.a * self.a) / 3.0)
 
     def state(self) -> np.ndarray:
         """The 343-amplitude member sum_l |l> |pair_l> / sqrt(7), unit norm."""
-        return (self.pair_basis().real / math.sqrt(MODULUS)).astype(complex).reshape(-1)
+        return (self.pair_basis() / math.sqrt(MODULUS)).reshape(-1)
 
     def pair_state(self, j) -> np.ndarray:
-        """Pair ket tied to level j of the traced-out particle, 49 amplitudes.
-
-        The seven pair states are mutually orthonormal, so together they span
-        the subspace the pair marginal lives in.
-        """
+        """Pair ket tied to level j of the traced-out particle: row j of :meth:`pair_basis`."""
         j = int(j)
         if not 0 <= j < MODULUS:
             raise ValueError(f"level must lie in 0..6, got {j}")
-        amp = np.zeros(MODULUS**2, dtype=complex)
-        amp[_flat2(j, j)] += self.a
-        for k in self.residues:
-            amp[_flat2(j + k, j + 3 * k)] += self.b
-        return amp
+        return self.pair_basis()[j]
 
     def pair_basis(self) -> np.ndarray:
-        """All seven pair states stacked as rows, shape (7, 49)."""
-        return np.stack([self.pair_state(j) for j in range(MODULUS)])
+        """The seven real pair states as rows, shape (7, 49).
+
+        Pair state j has amplitude a at (j, j) and b at (j + k, j + 3k) for
+        each residue k, labels mod 7.  The rows are mutually orthonormal, so
+        they span the subspace the pair marginal lives in.
+        """
+        j, k = np.arange(MODULUS)[:, None], np.array(self.residues)
+        basis = np.zeros((MODULUS, MODULUS, MODULUS))
+        basis[j, j, j] = self.a
+        basis[j, (j + k) % MODULUS, (j + 3 * k) % MODULUS] = self.b
+        return basis.reshape(MODULUS, -1)
 
     def pair_density(self) -> np.ndarray:
         """Pair marginal of the member: the uniform mixture of the pair states."""
         basis = self.pair_basis()
-        return np.einsum("ja,jb->ab", basis, basis.conj()) / MODULUS
+        return basis.T @ basis / MODULUS
 
     def span_state(self, coeffs) -> np.ndarray:
         """Unit-norm pair state sum_j c_j |pair_j> for coefficients on the span."""
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs)
         if coeffs.shape != (MODULUS,):
             raise ValueError(f"need {MODULUS} span coefficients, got shape {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("span coefficients must be finite")
-        if abs(np.linalg.norm(coeffs) - 1.0) > 1e-10:
-            raise ValueError("span coefficients must be unit norm")
-        return coeffs @ self.pair_basis()
+        return check_pure_state(coeffs, (MODULUS,), name="span coefficient vector")[0] @ self.pair_basis()
 
 
 def gauge_fix(coeffs):
@@ -195,15 +191,14 @@ class SymmetryOps:
 
 def symmetry_operators() -> SymmetryOps:
     """Build the pair symmetry unitaries for the family."""
-    omega = np.exp(2j * np.pi / MODULUS)
-    powers = omega ** np.arange(MODULUS)
     levels = np.arange(MODULUS)
+    powers = OMEGA ** levels
     shift = np.zeros((MODULUS, MODULUS), dtype=complex)
     shift[(levels + 1) % MODULUS, levels] = 1.0
     # Exponents reduced mod 7 keep the entries exact roots of unity.
     pair_phase = np.kron(np.diag(powers[(5 * levels) % MODULUS]), np.diag(powers[(3 * levels) % MODULUS]))
     pair_shift = np.kron(shift, shift)
-    return SymmetryOps(pair_phase=pair_phase, pair_shift=pair_shift, omega=complex(omega))
+    return SymmetryOps(pair_phase=pair_phase, pair_shift=pair_shift, omega=OMEGA)
 
 
 def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
@@ -219,7 +214,7 @@ def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
     coeffs = np.asarray(coeffs, dtype=complex)
     family.span_state(coeffs)  # validates the coefficients
     levels = np.arange(MODULUS)
-    phased = coeffs * symmetry_operators().omega ** (np.outer(levels, levels) % MODULUS)  # row m
+    phased = coeffs * OMEGA ** (np.outer(levels, levels) % MODULUS)  # row m
     rolled = np.stack([np.roll(phased, p, axis=1) for p in range(MODULUS)], axis=1)  # [m, p]
     states = rolled.reshape(49, MODULUS) @ family.pair_basis()
     weights = np.full(49, 1.0 / 49.0)

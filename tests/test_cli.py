@@ -393,7 +393,7 @@ def test_measure_checks_fail_when_the_werner_fit_rejects(monkeypatch):
 def test_verify_suite_catches_corrupted_residues():
     # {1, 2, 3} is not doubling-closed, so the member state loses its cyclic
     # symmetry; the residue-validity and cyclic-invariance checks must fail.
-    corrupted = ResidueFamily(a=0.5, b=0.5, residues=(1, 2, 3))
+    corrupted = ResidueFamily(a=0.5, residues=(1, 2, 3))
     rng = np.random.default_rng(0)
     results = family_checks(corrupted, rng)
     by_name = {r.name: r.passed for r in results}

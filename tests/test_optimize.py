@@ -487,9 +487,35 @@ class TestMinSpanEntanglement:
     def test_witness_and_ordering_invariants(self):
         result = min_span_entanglement(0.5, FAST)
         assert span_entanglement(result.argmin, 0.5) == pytest.approx(result.value, abs=1e-10)
-        assert result.value <= result.restart_values.min() + 1e-15
         assert result.restart_values.shape == (FAST.restarts,)
         assert result.value == result.restart_values[result.restart_index]
+        # The witness is the first restart that ties the best to within 1e-11.
+        ties = np.flatnonzero(result.restart_values <= result.restart_values.min() + 1e-11)
+        assert result.restart_index == ties[0]
+        assert result.value <= result.restart_values.min() + 1e-11
+
+    @pytest.mark.parametrize("a", [0.461, 0.5])
+    def test_witness_does_not_follow_the_basis_layout(self, monkeypatch, a):
+        # The same basis values held contiguous, or as the strided real part
+        # of a complex array, change only the round-off of each restart's
+        # value: the witness must not move with it.
+        init = _SpanObjective.__init__
+        config = OptimizationConfig(restarts=200, seed=0)
+
+        def solve(layout):
+            def patched(self, family):
+                init(self, family)
+                self.basis_mats = layout(self.basis_mats)
+
+            monkeypatch.setattr(_SpanObjective, "__init__", patched)
+            return min_span_entanglement(a, config)
+
+        contiguous = solve(lambda mats: np.ascontiguousarray(mats.real))
+        strided = solve(lambda mats: mats.astype(complex).real)
+        assert not np.array_equal(strided.restart_values, contiguous.restart_values)
+        assert strided.restart_index == contiguous.restart_index
+        assert strided.iterations_used == contiguous.iterations_used
+        assert np.max(np.abs(strided.argmin - contiguous.argmin)) <= 1e-12
 
     def test_lower_bounds_random_span_states(self):
         rng = np.random.default_rng(3)
@@ -511,7 +537,10 @@ class TestMinSpanEntanglement:
             prefix = min_span_entanglement(0.5, OptimizationConfig(restarts=k, seed=FAST.seed))
             assert np.array_equal(prefix.restart_values, full.restart_values[:k])
             assert prefix.failed_restarts == tuple(i for i in full.failed_restarts if i < k)
-            assert prefix.value == full.restart_values[:k].min()
+            # The witness rule applied to the first k restart values.
+            ties = np.flatnonzero(full.restart_values[:k] <= full.restart_values[:k].min() + 1e-11)
+            assert prefix.restart_index == ties[0]
+            assert prefix.value == full.restart_values[ties[0]]
 
     def test_seed_changes_restart_stream(self):
         other = OptimizationConfig(restarts=20, seed=1)
@@ -642,6 +671,17 @@ class TestPairEof:
 
     def test_matches_min_span_value(self):
         assert pair_eof(0.5, FAST) == min_span_entanglement(0.5, FAST).value
+
+    def test_certificate_builds_no_symmetry_operator(self, monkeypatch):
+        # The orbit is built from span coefficients and OMEGA, never from the
+        # 49x49 operators.
+        def forbidden():
+            raise AssertionError("the certificate built the 49x49 symmetry operators")
+
+        monkeypatch.setattr("qshare.states.symmetry_operators", forbidden)
+        result = min_span_entanglement(0.5, FAST)
+        reconstruction, average_gap = qshare.optimize.orbit_certificate(result, 0.5)
+        assert reconstruction < 1e-10 and average_gap <= 1e-8
 
     def test_rejects_wrong_reconstruction_alone(self, monkeypatch):
         result = min_span_entanglement(0.5, FAST)

@@ -22,7 +22,7 @@ from qshare.states import (
 # must evaluate to the same minimum as the pair basis states there.
 REPORTED_COEFFS = np.array([0.120, 0.197, 0.689, 0.259, -0.468, -0.275, -0.332])
 # Three distinct labels that are not the quadratic residues mod 7.
-CORRUPTED = ResidueFamily(a=0.5, b=0.5, residues=(1, 2, 3))
+CORRUPTED = ResidueFamily(a=0.5, residues=(1, 2, 3))
 
 
 def random_coeffs(rng):
@@ -146,16 +146,17 @@ class TestResidueFamily:
             assert abs(family.a**2 + 3 * family.b**2 - 1.0) < 1e-12
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
             ResidueFamily.from_a(1.5)
-        with pytest.raises(ValueError):
-            ResidueFamily(a=0.5, b=0.9)  # breaks normalization
-        with pytest.raises(ValueError):
-            ResidueFamily(a=0.5, b=0.5, residues=(1, 2))
-        with pytest.raises(ValueError):
-            ResidueFamily(a=0.5, b=0.5, residues=(0, 1, 2))
-        with pytest.raises(ValueError, match="weights out of range"):
-            ResidueFamily(a=1.5, b=0.0)
+        with pytest.raises(TypeError):
+            ResidueFamily(a=0.5, b=0.5)  # b follows from a; it is not a field
+        with pytest.raises(ValueError, match="three distinct labels"):
+            ResidueFamily(a=0.5, residues=(1, 2))
+        with pytest.raises(ValueError, match="three distinct labels"):
+            ResidueFamily(a=0.5, residues=(0, 1, 2))
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
+                ResidueFamily(a=bad)
         with pytest.raises(ValueError, match="level must lie in 0..6"):
             ResidueFamily.from_a(0.5).pair_state(7)
 
@@ -267,7 +268,7 @@ class TestSpanState:
 
     def test_rejects_unnormalized(self):
         family = ResidueFamily.from_a(0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not normalized"):
             family.span_state(np.ones(7))
         with pytest.raises(ValueError, match="need 7 span coefficients"):
             family.span_state(np.ones(6) / np.sqrt(6.0))
@@ -279,9 +280,9 @@ class TestSpanState:
         family = ResidueFamily.from_a(0.5)
         coeffs = np.eye(7, dtype=complex)[0]
         coeffs[3] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             family.span_state(coeffs)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             orbit_decomposition(coeffs, family)
 
 
@@ -425,5 +426,15 @@ class TestWState:
 
 def test_real_constructors_build_float_arrays():
     # Real operators and states stay real: no complex buffer is allocated.
-    for built in (swap_operator(3), singlet_pair_reduced(3), singlet_state(3), w_state(3)):
+    family = ResidueFamily.from_a(0.461)
+    for built in (
+        swap_operator(3),
+        singlet_pair_reduced(3),
+        singlet_state(3),
+        w_state(3),
+        family.pair_basis(),
+        family.pair_state(0),
+        family.state(),
+        family.pair_density(),
+    ):
         assert built.dtype == np.float64
