@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import SPECTRUM_CLIP
 from .measures import Decomposition, pure_entanglement, shannon_entropy
-from .states import MODULUS, ResidueFamily, orbit_decomposition
+from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 __all__ = [
     "PAIR_DIMS", "PAIR_CUT", "OptimizationConfig", "OptimizationResult", "ScanResult", "span_entanglement",
@@ -27,8 +27,8 @@ PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
 # A point whose largest squared coefficient share exceeds this has reached a
-# basis vertex; a near-best restart at or below it is off-vertex: a
-# mixed-branch minimizer, such as the seed solve at a = 1/2 needs.
+# basis vertex; one at or below it is off-vertex, as the scan's seed at
+# a = 1/2 must be to lie on the mixed branch.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value count when deciding whether a
 # non-basis minimizer was found.
@@ -83,10 +83,10 @@ class OptimizationResult:
     The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11)
     of the smallest entry of ``restart_values``: ``restart_index``, and its
     own ``value``, ``iterations_used`` and ``argmin``, a real unit 7-vector
-    whose first coefficient above 1e-12 in magnitude is positive.  No entry
-    exceeds the closed-form value of a basis vertex: a restart that ends
-    above it, or whose largest squared coefficient exceeds 0.99 (it has
-    reached a vertex), is replaced by its nearest vertex at exactly that value.
+    gauged by :func:`gauge_fix`.  No entry exceeds the closed-form value of a
+    basis vertex: a restart that ends above it, or whose largest squared
+    coefficient exceeds 0.99 (it has reached a vertex), is replaced by its
+    nearest vertex at exactly that value.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
     ``nontrivial_minimizer`` records whether any near-best restart ended away
@@ -126,20 +126,6 @@ class ScanResult:
     hessian_min: float
 
 
-def _vertex_entanglement(family: ResidueFamily) -> float:
-    """Entanglement H(a^2, b^2, b^2, b^2) of every basis vertex of the span.
-
-    Pair state j has amplitude a at (j, j) and b at (j + k, j + 3k) for the
-    three residues k, all in distinct rows and columns, so its Schmidt
-    spectrum is (a^2, b^2, b^2, b^2).  Each vertex is feasible, so this
-    bounds the span minimum from above.  The spectrum is summed in ascending
-    order, as an eigensolver returns it, which reproduces the objective's
-    value at a vertex to the bit.
-    """
-    a2, b2 = family.a * family.a, family.b * family.b
-    return shannon_entropy(np.sort([a2, b2, b2, b2]))
-
-
 class _SpanObjective:
     """Pair entanglement as a function of the 7 real span coefficients.
 
@@ -152,7 +138,7 @@ class _SpanObjective:
     def __init__(self, family: ResidueFamily):
         # Pair state j reshaped to the real 7x7 amplitude matrix across the cut.
         self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
-        self.vertex_value = _vertex_entanglement(family)
+        self.vertex_value = family.pair_state_entanglement
 
     def at_vertex(self, x):
         """Whether each row of ``x`` (R, 7) has reached a basis vertex: max x_i^2 > ``_VERTEX_WEIGHT`` |x|^2."""
@@ -307,16 +293,14 @@ def _starts(config: OptimizationConfig):
 def _finish(objective: _SpanObjective, x):
     """Unit coefficients (R, 7) and values (R,) at the restarts' final points.
 
-    Each row is normalized and its sign fixed so that its first coefficient
-    above 1e-12 in magnitude is positive.  A point that cannot be normalized
-    gets NaN coefficients and value +inf.
+    Each row is normalized and its sign fixed by :func:`gauge_fix`.  A point
+    that cannot be normalized gets NaN coefficients and value +inf.
     """
     norms = np.linalg.norm(x, axis=1)
     usable = np.isfinite(norms) & (norms >= 1e-9)
     coeffs = np.full(x.shape, np.nan)
     coeffs[usable] = x[usable] / norms[usable, None]
-    lead = np.argmax(np.abs(coeffs) > 1e-12, axis=1)
-    coeffs *= np.copysign(1.0, coeffs[np.arange(len(x)), lead])[:, None]
+    coeffs = gauge_fix(coeffs)
     values = np.full(len(x), np.inf)
     values[usable] = objective.value_and_grad(coeffs[usable])[0]
     # Every basis vertex is feasible at the closed-form vertex value, so a
@@ -332,8 +316,7 @@ def _finish(objective: _SpanObjective, x):
 
 def span_entanglement(coeffs, a) -> float:
     """Pair-cut entanglement of the span state with the given coefficients."""
-    family = ResidueFamily.from_a(a)
-    return pure_entanglement(family.span_state(coeffs), PAIR_DIMS, PAIR_CUT)
+    return pure_entanglement(ResidueFamily.from_a(a).span_state(coeffs), PAIR_DIMS, PAIR_CUT)
 
 
 def min_span_entanglement(a, config: OptimizationConfig | None = None) -> OptimizationResult:
@@ -347,8 +330,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     a larger run equal a run of k restarts.
     """
     config = config or OptimizationConfig()
-    family = ResidueFamily.from_a(a)
-    objective = _SpanObjective(family)
+    objective = _SpanObjective(ResidueFamily.from_a(a))
     x, iterations, converged = _lbfgs(objective, _starts(config))
     coeffs, restart_values = _finish(objective, x)
 
@@ -464,34 +446,33 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     last solve.  ``a_star`` is the root with the larger V (the lower on a
     tie), and ``e_star`` = V(a_star).
     Each corrected point is feasible: min(V, M) bounds the minimum.  Raises
-    ``RuntimeError`` if the solve at a = 1/2 finds no off-vertex minimizer,
+    ``RuntimeError`` if the witness of the solve at a = 1/2 is at a vertex,
     if a traced value exceeds ``e_star``, or if a multistart solve at
     ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
     ``e_star`` or fails :func:`orbit_certificate`.
     """
     seed = min_span_entanglement(0.5, config)
-    if not seed.nontrivial_minimizer:
+    objective = _SpanObjective(ResidueFamily.from_a(0.5))
+    if objective.at_vertex(seed.argmin[None])[0]:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
     trace = [(0.5, seed.value)]
     converged = []  # per corrector solve
 
-    def vertex(a):
-        return _vertex_entanglement(ResidueFamily.from_a(a))
-
     def crossing(h):
-        x, a, gap = seed.argmin, 0.5, seed.value - vertex(0.5)
+        x, a, gap = seed.argmin, 0.5, seed.value - objective.vertex_value
         for _ in range(int(0.5 / _TRACE_STEP) + _NEWTON_ITERATIONS):
             a, previous = float(np.clip(a + h, 0.0, 1.0)), gap
             x, gap, ok = _continue_mixed_branch(x, a)
             converged.append(ok)
-            trace.append((a, vertex(a) + min(gap, 0.0)))
+            vertex = ResidueFamily.from_a(a).pair_state_entanglement
+            trace.append((a, vertex + min(gap, 0.0)))
             if gap == previous:
                 break
             h = float(np.clip(h * gap / (previous - gap), -_TRACE_STEP, _TRACE_STEP))
             if abs(h) <= _CROSSING_TOLERANCE:
-                return vertex(a), a, x, abs(h)
+                return vertex, a, x, abs(h)
         converged[-1] = False
-        return vertex(a), a, x, abs(h)
+        return vertex, a, x, abs(h)
 
     e_star, a, x, crossing_error = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])
     peak_a, peak = max(trace, key=lambda t: t[1])

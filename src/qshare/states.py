@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .linalg import check_pure_state, swap_operator
-from .measures import Decomposition
+from .measures import Decomposition, shannon_entropy
 
 __all__ = [
     "MODULUS",
@@ -128,6 +128,19 @@ class ResidueFamily:
         """Weight of each residue term, sqrt((1 - a^2) / 3)."""
         return math.sqrt(max(0.0, 1.0 - self.a * self.a) / 3.0)
 
+    @property
+    def pair_state_entanglement(self) -> float:
+        """V(a) = H(a^2, b^2, b^2, b^2), the entanglement of every pair state.
+
+        Pair state j has amplitude a at (j, j) and b at (j + k, j + 3k), all in
+        distinct rows and columns, so that is its Schmidt spectrum.  Each pair
+        state is a basis vertex of the span, so V(a) bounds the span minimum
+        from above.  Summed in ascending order, as an eigensolver returns a
+        spectrum, it equals the optimizer objective's value at a vertex to the bit.
+        """
+        a2, b2 = self.a * self.a, self.b * self.b
+        return shannon_entropy(np.sort([a2, b2, b2, b2]))
+
     def state(self) -> np.ndarray:
         """The 343-amplitude member sum_l |l> |pair_l> / sqrt(7), unit norm."""
         return (self.pair_basis() / math.sqrt(MODULUS)).reshape(-1)
@@ -166,13 +179,17 @@ class ResidueFamily:
 
 
 def gauge_fix(coeffs):
-    """Remove the global phase: first coefficient above 1e-12 in magnitude real and >= 0."""
-    c = np.asarray(coeffs, dtype=complex).copy()
-    nonzero = np.flatnonzero(np.abs(c) > 1e-12)
-    if nonzero.size == 0:
+    """Remove the global phase of a vector, or of each row of a stack: first coefficient above 1e-12 made real, >= 0.
+
+    Real input stays real and a NaN row stays NaN; a zero row raises ``ValueError``.
+    """
+    c = np.asarray(coeffs)
+    rows = c.reshape(-1, c.shape[-1]).astype(float if np.isrealobj(c) else complex)
+    leads = ~(np.abs(rows) <= 1e-12)  # NaN fails every comparison: it leads, so its row stays NaN
+    if not leads.any(axis=1).all():
         raise ValueError("cannot gauge-fix a zero vector")
-    lead = c[nonzero[0]]
-    return c * (lead.conjugate() / abs(lead))
+    lead = rows[np.arange(len(rows)), np.argmax(leads, axis=1)]
+    return (rows * (lead.conjugate() / np.abs(lead))[:, None]).reshape(c.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,7 +60,7 @@ def gapless_branch(monkeypatch):
         result = solve(a, config)
         if a != 0.5:
             return result
-        return dataclasses.replace(result, value=qshare.optimize._vertex_entanglement(ResidueFamily.from_a(a)) + gap(a))
+        return dataclasses.replace(result, value=ResidueFamily.from_a(a).pair_state_entanglement + gap(a))
 
     monkeypatch.setattr(qshare.optimize, "_continue_mixed_branch", synthetic)
     monkeypatch.setattr(qshare.optimize, "min_span_entanglement", seeded)

@@ -24,7 +24,6 @@ from qshare.optimize import (
     _SpanObjective,
     _starts,
     _tangent_hessian,
-    _vertex_entanglement,
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
@@ -57,7 +56,7 @@ def difference_hessian(objective, x, step=1e-5):
 
 
 def vertex_value(a):
-    return _vertex_entanglement(ResidueFamily.from_a(a))
+    return ResidueFamily.from_a(a).pair_state_entanglement
 
 
 def random_coeffs(rng):
@@ -103,7 +102,7 @@ class ComplexSpanObjective:
     def __init__(self, family: ResidueFamily):
         # Pair state j reshaped to the 7x7 amplitude matrix across the cut.
         self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
-        self.vertex_value = _vertex_entanglement(family)
+        self.vertex_value = family.pair_state_entanglement
 
     def entanglement(self, coeffs):
         """Entanglement (R,) at each row of unit-norm complex coefficients (R, 7)."""
@@ -447,6 +446,36 @@ class TestRestarts:
         assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=_VALUE_TOLERANCE)
 
 
+def copysign_gauge(coeffs):
+    """Sign rule for the rows of ``_finish``, written out as an oracle for its call to ``gauge_fix``."""
+    lead = np.argmax(np.abs(coeffs) > 1e-12, axis=1)
+    return coeffs * np.copysign(1.0, coeffs[np.arange(len(coeffs)), lead])[:, None]
+
+
+class _Unsnapped:
+    """A constant objective with no vertex: ``_finish`` then only normalizes and gauges."""
+
+    vertex_value = np.inf
+    at_vertex = never_at_vertex
+
+    def value_and_grad(self, x):
+        return np.zeros(len(x)), np.zeros_like(x)
+
+
+class TestFinish:
+    def test_rows_follow_the_sign_rule(self):
+        x = np.random.default_rng(9).standard_normal((6, MODULUS))
+        x[0, 0] = -abs(x[0, 0])  # negative lead
+        x[1, :3] = [5e-13, -0.6, 0.8]  # a lead below 1e-12 is skipped
+        x[2] = -np.eye(MODULUS)[4]  # an exact basis vector
+        x[3] = np.nan
+        coeffs, values = _finish(_Unsnapped(), x)
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.array_equal(coeffs, copysign_gauge(unit), equal_nan=True)
+        assert coeffs.dtype == np.float64
+        assert values[3] == np.inf and np.all(values[[0, 1, 2, 4, 5]] == 0.0)
+
+
 class TestComplexOracle:
     @pytest.mark.parametrize("a", [0.3, 0.461, 0.5, 0.53, 0.75])
     def test_real_minimum_matches_complex_search(self, a):
@@ -578,13 +607,19 @@ class TestVertexBound:
         closed = -3.0 * b2 * np.log2(b2) if b2 > 0.0 else 0.0
         if a2 > 0.0:
             closed -= a2 * np.log2(a2)
-        assert _vertex_entanglement(ResidueFamily.from_a(a)) == pytest.approx(closed, abs=1e-12)
+        assert vertex_value(a) == pytest.approx(closed, abs=1e-12)
+
+    def test_equals_the_objective_at_every_vertex_to_the_bit(self):
+        for a in [*np.linspace(0.0, 1.0, 101), 0.461, 0.46099840856814, 0.5]:
+            family = ResidueFamily.from_a(a)
+            values, _ = _SpanObjective(family).value_and_grad(np.eye(MODULUS))
+            assert np.all(values == family.pair_state_entanglement), a
 
     def test_solve_never_exceeds_vertex_value(self):
         # Seed 7's best restart at a = 0.43 stops in a local minimum 0.0135
         # above the vertex value, away from every vertex.
         result = min_span_entanglement(0.43, OptimizationConfig(restarts=20, seed=7))
-        vertex_value = _vertex_entanglement(ResidueFamily.from_a(0.43))
+        vertex_value = ResidueFamily.from_a(0.43).pair_state_entanglement
         assert result.value <= vertex_value
         assert np.all(result.restart_values <= vertex_value)
         assert not result.nontrivial_minimizer
@@ -715,7 +750,7 @@ class TestMaximizePairEof:
         scan = fast_scan(seed)
         values = [v for _, v in scan.scan_trace]
         assert scan.e_star >= max(values)
-        assert scan.e_star == _vertex_entanglement(ResidueFamily.from_a(scan.a_star))
+        assert scan.e_star == vertex_value(scan.a_star)
         assert abs(scan.a_star - 0.461) <= 0.005
         assert abs(scan.e_star - 1.9944) <= 5e-4
 
@@ -813,7 +848,7 @@ class TestMaximizePairEof:
         # solve stops at its 1e-10 value tolerance, the corrector at its step
         # tolerance.
         scan = fast_scan(0)
-        vertex = [_vertex_entanglement(ResidueFamily.from_a(a)) for a, _ in scan.scan_trace[1:-1]]
+        vertex = [vertex_value(a) for a, _ in scan.scan_trace[1:-1]]
         window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v > scan.e_star]
         # Full steps from 0.465 to 0.535, less a = 1/2, whose value is the
         # multistart solve; the secant steps below 0.465 stay above a_star.
@@ -947,12 +982,26 @@ class TestMaximizePairEof:
             result = min_span_entanglement(a, config)
             if a != 0.5:
                 return result
-            value = _vertex_entanglement(ResidueFamily.from_a(a))
-            return dataclasses.replace(result, value=value, argmin=np.eye(7)[0], nontrivial_minimizer=False)
+            return dataclasses.replace(result, value=vertex_value(a), argmin=np.eye(7)[0], nontrivial_minimizer=False)
 
         monkeypatch.setattr("qshare.optimize.min_span_entanglement", on_vertex)
         with pytest.raises(RuntimeError, match="no mixed-branch minimizer"):
             maximize_pair_eof(FAST)
+
+    def test_rejects_a_seed_witness_on_a_vertex(self, monkeypatch):
+        # The guard reads the witness the trace starts from, not the
+        # near-best flag: a vertex witness is refused even while another
+        # near-best restart ended off-vertex.
+        def vertex_witness(a, config):
+            result = min_span_entanglement(a, config)
+            if a != 0.5:
+                return result
+            assert result.nontrivial_minimizer
+            return dataclasses.replace(result, argmin=np.eye(7)[0])
+
+        monkeypatch.setattr("qshare.optimize.min_span_entanglement", vertex_witness)
+        with pytest.raises(RuntimeError, match="no mixed-branch minimizer"):
+            maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
 
     def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
         # The same roots, but a branch that lies far closer below V.

@@ -246,6 +246,12 @@ class TestPairStates:
     def test_pair_density_unit_trace(self):
         assert np.trace(ResidueFamily.from_a(0.3).pair_density()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("family", [ResidueFamily.from_a(a) for a in (0.0, 0.2, 0.461, 0.5, 0.9, 1.0)] + [CORRUPTED])
+    def test_pair_state_entanglement_is_each_pair_states_entanglement(self, family):
+        for j in range(7):
+            value = pure_entanglement(family.pair_state(j), (7, 7), (0,))
+            assert abs(value - family.pair_state_entanglement) <= 1e-12
+
 
 class TestSpanState:
     def test_basis_coefficients_recover_pair_states(self):
@@ -303,8 +309,28 @@ class TestGaugeFix:
         assert np.max(np.abs(fixed1 - fixed2)) < 1e-12
 
     def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero vector"):
             gauge_fix(np.zeros(7))
+        with pytest.raises(ValueError, match="zero vector"):
+            gauge_fix(np.stack([np.eye(7)[0], np.zeros(7)]))
+
+    def test_real_stack_is_gauged_row_by_row(self):
+        stack = np.random.default_rng(5).standard_normal((6, 7))
+        stack[1, 0] = 0.0
+        stack[2, :2] = [5e-13, -0.4]  # a lead below 1e-12 is skipped
+        stack[3] = -np.eye(7)[4]
+        fixed = gauge_fix(stack)
+        assert fixed.dtype == np.float64
+        assert np.array_equal(fixed, np.array([gauge_fix(row) for row in stack]))
+        leads = [row[np.flatnonzero(np.abs(row) > 1e-12)[0]] for row in fixed]
+        assert all(lead > 0.0 for lead in leads)
+        assert np.array_equal(np.abs(fixed), np.abs(stack))
+
+    def test_nan_row_stays_nan(self):
+        stack = np.stack([np.full(7, np.nan), -np.eye(7)[3]])
+        fixed = gauge_fix(stack)
+        assert np.isnan(fixed[0]).all()
+        assert np.array_equal(fixed[1], np.eye(7)[3])
 
 
 class TestSymmetryOperators:
