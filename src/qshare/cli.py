@@ -6,7 +6,8 @@ aligned weight (``family``), and run the self-verification suite
 (``verify``).  Reports are emitted as aligned text, JSON, or CSV (table
 only).  The environment variable ``QSHARE_SEED`` supplies the seed when
 ``--seed`` is absent.  The exit status is 0 for a clean run, 1 when the report
-carries any warning, and 2 on an input, internal or allocation error.
+carries any warning, and 2 on an input, internal or allocation error.  A
+reader that closes stdout before the report is written is not an error.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_emit(report, args.format))
+    try:
+        print(_emit(report, args.format), flush=True)
+    except BrokenPipeError:  # the reader stopped reading; point stdout at devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if report["warnings"] else 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,8 @@ __all__ = [
     "partial_trace",
     "reduced_density_matrix",
     "schmidt_spectrum",
+    "check_integer",
+    "check_real",
     "check_pure_state",
     "check_density_matrix",
 ]
@@ -57,12 +60,28 @@ def _check_hermitian(m, name):
 
 def _subsystems(keep, n, name="keep"):
     """Normalize a subsystem selection to a sorted tuple of valid indices."""
-    keep = tuple(sorted({int(k) for k in keep}))
+    keep = tuple(sorted({check_integer(k, name, 0, n - 1) for k in keep}))
     if not keep:
         raise ValueError(f"{name} must select at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"{name}={keep} out of range for {n} subsystems")
     return keep
+
+
+def check_integer(value, name, low, high=None) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer, not a bool, in [low, high]."""
+    return int(_check_number(value, name, numbers.Integral, "an integer", low, high))
+
+
+def check_real(value, name, low, high) -> float:
+    """``value`` as a float, -0.0 as 0.0; ``ValueError`` naming ``name`` unless real, not a bool, in [low, high]."""
+    return float(_check_number(value, name, numbers.Real, "a real number", low, high)) + 0.0
+
+
+def _check_number(value, name, kind, noun, low, high):
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    if not (valid and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {noun} {bounds}, got {value!r}")
+    return value
 
 
 def check_pure_state(psi, dims, *, name="state"):
@@ -76,9 +95,9 @@ def check_pure_state(psi, dims, *, name="state"):
     psi = np.asarray(psi, dtype=complex if np.iscomplexobj(psi) else float)
     if psi.ndim not in (1, 2):
         raise ValueError(f"{name} must be a flat amplitude vector or a stack of them as rows")
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid subsystem dimensions {dims}")
+    dims = tuple(check_integer(d, "dims", 1) for d in dims)
+    if not dims:
+        raise ValueError("dims must list at least one subsystem")
     total = math.prod(dims)
     if psi.shape[-1] != total:
         raise ValueError(f"{name} has {psi.shape[-1]} amplitudes, expected {total} for dims {dims}")
@@ -101,7 +120,7 @@ def check_density_matrix(rho, dim=None):
     float otherwise.
     """
     rho = _as_square_matrix(rho, "rho")
-    if dim is not None and rho.shape[0] != int(dim):
+    if dim is not None and rho.shape[0] != check_integer(dim, "dim", 1):
         raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
     _check_hermitian(rho, "rho")
     trace_dev = abs(np.trace(rho) - 1.0)
@@ -123,9 +142,7 @@ def swap_operator(d):
     F is real symmetric, F @ F = I, and trace(F) = d.  Its memory map is its
     own and goes back to the system with F, so no freed F stays in the heap.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d = check_integer(d, "d", 1)
     try:
         f = np.frombuffer(mmap.mmap(-1, size := d**4 * np.dtype(float).itemsize)).reshape(d * d, d * d)
     except (OSError, OverflowError) as exc:
@@ -141,7 +158,7 @@ def partial_trace(rho, dims, keep):
     Kept subsystems stay in ascending index order; the trace is preserved.
     """
     rho = _as_square_matrix(rho, "rho")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(check_integer(d, "dims", 1) for d in dims)
     total = math.prod(dims)
     if rho.shape[0] != total:
         raise ValueError(f"dims {dims} do not match a {rho.shape[0]}-dimensional matrix")

@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import (
     SPECTRUM_CLIP,
     check_density_matrix,
+    check_integer,
     check_pure_state,
     schmidt_spectrum,
     swap_operator,
@@ -137,9 +138,7 @@ def _trace_with_swap(rho, d):
 
 def werner_concurrence(rho, d) -> float:
     """-Tr(rho F); plays the concurrence role for Werner states when >= 0."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"a Werner pair needs d >= 2, got {d}")
+    d = check_integer(d, "d", 2)
     rho = check_density_matrix(rho, d * d)
     c = -_trace_with_swap(rho, d)
     if abs(c.imag) > 1e-10:
@@ -153,9 +152,7 @@ def werner_fit(rho, d):
     Returns a :class:`WernerParams` when the max-norm residual is at most
     ``WERNER_TOLERANCE``, otherwise ``None`` (an explicit not-Werner verdict).
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"a Werner pair needs d >= 2, got {d}")
+    d = check_integer(d, "d", 2)
     rho = check_density_matrix(rho, d * d)
     t_id = float(np.trace(rho).real)
     t_sw = float(_trace_with_swap(rho, d).real)

@@ -9,12 +9,11 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SPECTRUM_CLIP
+from .linalg import SPECTRUM_CLIP, check_integer
 from .measures import Decomposition, pure_entanglement, shannon_entropy
 from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
@@ -66,14 +65,8 @@ class OptimizationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_integer(self.restarts, "restarts", 1)
+        check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .linalg import check_pure_state, swap_operator
+from .linalg import check_integer, check_pure_state, check_real, swap_operator
 from .measures import Decomposition, shannon_entropy
 
 __all__ = [
@@ -42,10 +42,8 @@ OMEGA = complex(np.exp(2j * np.pi / MODULUS))
 
 def quadratic_residues(p):
     """Nonzero squares mod an odd prime: {x^2 mod p : x = 1 .. p-1}."""
-    p = int(p)
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+    p = check_integer(p, "p", 3)
+    if p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
         raise ValueError(f"p must be an odd prime, got {p}")
     return frozenset((x * x) % p for x in range(1, p))
 
@@ -64,9 +62,7 @@ def singlet_state(d):
     (d^d amplitudes); the pair marginals for larger d come from
     :func:`singlet_pair_reduced` instead.
     """
-    d = int(d)
-    if not 2 <= d <= 7:
-        raise ValueError(f"full construction supports 2 <= d <= 7, got {d}")
+    d = check_integer(d, "d", 2, 7)
     amp = np.zeros(d**d)
     scale = 1.0 / math.sqrt(math.factorial(d))
     strides = [d ** (d - 1 - k) for k in range(d)]
@@ -81,9 +77,7 @@ def singlet_pair_reduced(d):
 
     Valid for any d >= 2 without building the full collective state.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    d = check_integer(d, "d", 2)
     rho = swap_operator(d)
     np.subtract(0.0, rho, out=rho)  # 0 - F, not -F, keeps the zeros positive as in I - F
     rho.flat[:: d * d + 1] += 1.0
@@ -109,13 +103,10 @@ class ResidueFamily:
     residues: tuple[int, ...] = tuple(sorted(quadratic_residues(MODULUS)))
 
     def __post_init__(self):
-        a = float(self.a)
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"a must lie in [0, 1], got {self.a}")
-        res = tuple(int(k) for k in self.residues)
-        if len(res) != 3 or len(set(res)) != 3 or not all(1 <= k <= 6 for k in res):
+        object.__setattr__(self, "a", check_real(self.a, "a", 0, 1))
+        res = tuple(check_integer(k, "residues", 1, MODULUS - 1) for k in self.residues)
+        if len(res) != 3 or len(set(res)) != 3:
             raise ValueError(f"residues must be three distinct labels in 1..6, got {res}")
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "residues", res)
 
     @classmethod
@@ -147,10 +138,7 @@ class ResidueFamily:
 
     def pair_state(self, j) -> np.ndarray:
         """Pair ket tied to level j of the traced-out particle: row j of :meth:`pair_basis`."""
-        j = int(j)
-        if not 0 <= j < MODULUS:
-            raise ValueError(f"level must lie in 0..6, got {j}")
-        return self.pair_basis()[j]
+        return self.pair_basis()[check_integer(j, "j", 0, MODULUS - 1)]
 
     def pair_basis(self) -> np.ndarray:
         """The seven real pair states as rows, shape (7, 49).
@@ -251,9 +239,7 @@ def cyclic_permute(psi, dims):
 
 def w_state(n):
     """Uniform superposition of the n single-excitation kets of n qubits."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = check_integer(n, "n", 2)
     amp = np.zeros(2**n)
     amp[[2 ** (n - 1 - i) for i in range(n)]] = 1.0 / math.sqrt(n)
     return amp

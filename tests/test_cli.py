@@ -233,12 +233,34 @@ def test_seed_fully_determines_family_output(capsys):
     assert json.loads(prefix)["results"] == results
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a child interpreter."""
     src = os.path.dirname(os.path.dirname(qshare.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, qshare.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_is_not_an_error():
+    # The read end is closed before the child starts, so its report write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "qshare.cli", "singlet", "--d", "3", "--format", "json"]
+        proc = subprocess.run(argv, env=source_env(), stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_negative_zero_weight_is_echoed_as_zero(capsys):
+    code, out = run_cli(capsys, ["family", "--a", "-0.0", "--restarts", "2", "--format", "json"])
+    assert code == 0
+    assert '"a": 0.0,' in out
 
 
 def test_table_robust_across_seeds(capsys):

@@ -179,7 +179,7 @@ def test_pure_state_check_rejects_bad_shapes_and_dims():
     psi = np.full(4, 0.5)
     with pytest.raises(ValueError, match="flat amplitude vector or a stack"):
         check_pure_state(psi.reshape(1, 2, 2), (2, 2))
-    with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+    with pytest.raises(ValueError, match=r"dims must be an integer >= 1, got 0"):
         check_pure_state(psi, (4, 0))
     with pytest.raises(ValueError, match="has 4 amplitudes, expected 8"):
         check_pure_state(psi, (2, 2, 2))

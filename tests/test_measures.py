@@ -282,7 +282,7 @@ class TestWernerQuantities:
         # The Gram system over span{I, F} is singular at d = 1, where I = F.
         for d in (1, 0, -1):
             for measure in (werner_fit, werner_concurrence, werner_eof):
-                with pytest.raises(ValueError, match="d >= 2"):
+                with pytest.raises(ValueError, match=r"d must be an integer >= 2"):
                     measure(np.eye(1), d)
 
     def test_fit_rejects_w_state_pair(self):

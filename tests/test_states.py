@@ -95,7 +95,7 @@ class TestSwapOperator:
         assert np.array_equal(swap_operator(2), expected)
 
     def test_rejects_no_levels(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match=r"d must be an integer >= 1, got 0"):
             swap_operator(0)
 
     def test_trace_and_involution(self):
@@ -116,7 +116,7 @@ class TestSingletPairReduced:
             assert singlet_pair_reduced(d).tobytes() == dense.tobytes()
 
     def test_rejects_one_level(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match=r"d must be an integer >= 2, got 1"):
             singlet_pair_reduced(1)
 
     def test_two_levels_is_singlet_projector(self):
@@ -146,18 +146,18 @@ class TestResidueFamily:
             assert abs(family.a**2 + 3 * family.b**2 - 1.0) < 1e-12
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"a must be a real number in \[0, 1\]"):
             ResidueFamily.from_a(1.5)
         with pytest.raises(TypeError):
             ResidueFamily(a=0.5, b=0.5)  # b follows from a; it is not a field
         with pytest.raises(ValueError, match="three distinct labels"):
             ResidueFamily(a=0.5, residues=(1, 2))
-        with pytest.raises(ValueError, match="three distinct labels"):
+        with pytest.raises(ValueError, match=r"residues must be an integer in \[1, 6\], got 0"):
             ResidueFamily(a=0.5, residues=(0, 1, 2))
         for bad in (1.5, -0.1, math.nan):
-            with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
+            with pytest.raises(ValueError, match=r"a must be a real number in \[0, 1\]"):
                 ResidueFamily(a=bad)
-        with pytest.raises(ValueError, match="level must lie in 0..6"):
+        with pytest.raises(ValueError, match=r"j must be an integer in \[0, 6\], got 7"):
             ResidueFamily.from_a(0.5).pair_state(7)
 
     def test_aligned_member_is_diagonal_superposition(self):
