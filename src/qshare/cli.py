@@ -35,20 +35,25 @@ CSV_HEADER = ["d", "n", "e_bound", "ratio", "provenance"]
 _DEFAULT_RESTARTS = {"table": 200, "family": 200, "verify": 30}
 
 
+def _parse_integer(text, name) -> int:
+    """``text`` as an int; ``ValueError`` naming ``name`` unless it is ASCII decimal digits alone.
+
+    ``int()`` would also take signs, spaces, underscores and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be an integer in ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def _resolve_seed(args):
     if args.seed is not None:
-        return args.seed
+        return _parse_integer(args.seed, "seed")
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    return 0 if env is None else _parse_integer(env, SEED_ENV_VAR)
 
 
 def _config_from_args(args):
-    restarts = _DEFAULT_RESTARTS[args.command] if args.restarts is None else args.restarts
+    restarts = _DEFAULT_RESTARTS[args.command] if args.restarts is None else _parse_integer(args.restarts, "restarts")
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
@@ -90,7 +95,7 @@ def run_table(args) -> dict:
 
 def run_singlet(args) -> dict:
     """Werner fit, concurrence and E_f of the closed-form pair marginal."""
-    d = args.d
+    d = _parse_integer(args.d, "d")
     rho = singlet_pair_reduced(d)
     e_f = werner_eof(rho, d)  # raises unless rho is Werner, so the fit below succeeds
     fit = werner_fit(rho, d)
@@ -199,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshare", description=__doc__)
     # Each subcommand takes only the flags it reads, so argparse rejects the rest.
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--seed", type=int, default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
-    solver.add_argument("--restarts", type=int, default=None, help="multistart restarts per solve")
+    solver.add_argument("--seed", default=None, help=f"optimizer seed (default {SEED_ENV_VAR} or 0)")
+    solver.add_argument("--restarts", default=None, help="multistart restarts per solve")
     # Only table offers csv.  Parents share their action objects, so resolving a
     # --format inherited from a shared parent in table would remove it everywhere.
     no_csv = argparse.ArgumentParser(add_help=False)
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", parents=[solver], help="sharing bounds for three particles at d = 2, 3, 7")
     table.add_argument("--format", choices=["text", "json", "csv"], default="text")
     singlet = sub.add_parser("singlet", parents=[no_csv], help="pair marginal of the d-particle collective singlet")
-    singlet.add_argument("--d", type=int, default=3, help="particle count and level count")
+    singlet.add_argument("--d", default="3", help="particle count and level count")
     family = sub.add_parser("family", parents=[solver, no_csv], help="three-particle family at one aligned weight")
     family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
     sub.add_parser("verify", parents=[solver, no_csv], help="run the self-verification suite")

@@ -66,6 +66,14 @@ def _subsystems(keep, n, name="keep"):
     return keep
 
 
+def _check_dims(dims):
+    """Subsystem dimensions as a non-empty tuple of ints, each at least 1."""
+    dims = tuple(check_integer(d, "dims", 1) for d in dims)
+    if not dims:
+        raise ValueError("dims must list at least one subsystem")
+    return dims
+
+
 def check_integer(value, name, low, high=None) -> int:
     """``value`` as an int; ``ValueError`` naming ``name`` unless it is an integer, not a bool, in [low, high]."""
     return int(_check_number(value, name, numbers.Integral, "an integer", low, high))
@@ -95,9 +103,7 @@ def check_pure_state(psi, dims, *, name="state"):
     psi = np.asarray(psi, dtype=complex if np.iscomplexobj(psi) else float)
     if psi.ndim not in (1, 2):
         raise ValueError(f"{name} must be a flat amplitude vector or a stack of them as rows")
-    dims = tuple(check_integer(d, "dims", 1) for d in dims)
-    if not dims:
-        raise ValueError("dims must list at least one subsystem")
+    dims = _check_dims(dims)
     total = math.prod(dims)
     if psi.shape[-1] != total:
         raise ValueError(f"{name} has {psi.shape[-1]} amplitudes, expected {total} for dims {dims}")
@@ -158,7 +164,7 @@ def partial_trace(rho, dims, keep):
     Kept subsystems stay in ascending index order; the trace is preserved.
     """
     rho = _as_square_matrix(rho, "rho")
-    dims = tuple(check_integer(d, "dims", 1) for d in dims)
+    dims = _check_dims(dims)
     total = math.prod(dims)
     if rho.shape[0] != total:
         raise ValueError(f"dims {dims} do not match a {rho.shape[0]}-dimensional matrix")

@@ -9,7 +9,7 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,8 +44,12 @@ _MAX_ITERATIONS = 5000
 _VALUE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-12
 
-# Largest step in a of the secant search for each branch crossing.
-_TRACE_STEP = 0.005
+# Restarts of the seed solve at a = 1/2.  A restart ends on a basis vertex, off the mixed
+# branch, with probability about 0.448, so all 20 miss and the scan raises once in ~1e7.
+_SEED_RESTARTS = 20
+# Largest step in a of the secant search for each crossing: from the a = 1/2 seed, Newton
+# converges onto the mixed branch at every a in [0.425, 0.55], in at most 7 iterations.
+_TRACE_STEP = 0.02
 # Newton corrector iteration cap and crossing tolerance in a.
 _NEWTON_ITERATIONS = 10
 _CROSSING_TOLERANCE = 1e-13
@@ -103,8 +107,9 @@ class ScanResult:
     corrected point of the mixed branch as (a, min(V(a), M(a))), lower side
     first, and the multistart solve at ``a_star`` that certifies the peak.
     ``e_star`` is the vertex value V(a_star), at least every traced value.
-    ``restarts`` counts the restarts of both multistart solves and each
-    Newton corrector solve, ``failed_restarts`` those that did not converge.
+    ``restarts`` counts the restarts of both multistart solves (at most
+    ``_SEED_RESTARTS`` of them at a = 1/2) and each Newton corrector solve,
+    ``failed_restarts`` those that did not converge.
     ``crossing_error`` is the last secant step |da| on g = M - V, and
     ``hessian_min`` the smallest tangent Hessian eigenvalue of the mixed
     minimizer at ``a_star``: positive at a strict local minimum.
@@ -138,11 +143,11 @@ class _SpanObjective:
         return np.max(x * x, axis=1) > _VERTEX_WEIGHT * np.einsum("ri,ri->r", x, x)
 
     def value_and_grad(self, x):
-        """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7).
+        """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7); no row's result depends on the others."""
+        return self._evaluate(x)[3:]
 
-        Every row is computed by the same operations whatever the other rows
-        are, so a row's result does not depend on the batch it is in.
-        """
+    def _evaluate(self, x):
+        """Per row: the unit-trace marginal's eigenpairs (w clipped at 0, p), amplitudes m, value and gradient."""
         n2 = np.einsum("ri,ri->r", x, x)
         # Scale-free objective; a zero row (unreachable in practice from unit
         # starts) gets a value above every feasible one, a non-finite row NaN.
@@ -163,7 +168,7 @@ class _SpanObjective:
         f[zero] = 3.0
         f[~finite] = np.nan
         grad[~usable] = 0.0
-        return f, grad
+        return w, p, m, f, grad
 
 
 def _direction(g, s_hist, y_hist, rho_hist):
@@ -389,10 +394,8 @@ def _tangent_hessian(objective: _SpanObjective, x):
     [SPECTRUM_CLIP, 1], L_ab = (ln w_a - ln w_b) / (w_a - w_b), L_aa = 1 / w_a and E_j = V^T (B_j M^T + M B_j^T) V,
     Daleckii-Krein gives H_jk = -(sum_ab L_ab E_j,ab E_k,ab + 2 tr(B_j^T ln(rho) B_k)) / ln 2 - 2 f delta_jk.
     """
-    (f,), (grad,) = objective.value_and_grad(x[None])
+    (w,), (v,), (m,), (f,), (grad,) = objective._evaluate(x[None])
     tangent = np.eye(MODULUS) - np.outer(x, x)
-    m = np.einsum("j,jab->ab", x, objective.basis_mats)
-    w, v = np.linalg.eigh(m @ m.T)
     w = np.clip(w, SPECTRUM_CLIP, 1.0)
     gap, low = np.abs(w[:, None] - w), np.minimum(w[:, None], w)
     divided = np.divide(np.log1p(gap / low), gap, out=1.0 / low, where=gap > 0.0)  # L to a few ulps at any gap
@@ -428,23 +431,20 @@ def _continue_mixed_branch(x, a):
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
-    The span minimum is the smaller of the closed-form vertex value V(a) and
-    the mixed-branch minimum M(a), and it peaks where the two cross.  A
-    multistart solve at a = 1/2 seeds the mixed branch.  Each side then runs
-    a secant search on g = M - V (:func:`_continue_mixed_branch`): a first
-    step of ``_TRACE_STEP``, every step clipped to it and a to [0, 1], until
-    one is at most ``_CROSSING_TOLERANCE``.  A crossing whose g repeats (as
-    at an end of [0, 1] that it keeps stepping past), or not settled in
-    int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its
-    last solve.  ``a_star`` is the root with the larger V (the lower on a
-    tie), and ``e_star`` = V(a_star).
-    Each corrected point is feasible: min(V, M) bounds the minimum.  Raises
-    ``RuntimeError`` if the witness of the solve at a = 1/2 is at a vertex,
-    if a traced value exceeds ``e_star``, or if a multistart solve at
-    ``a_star`` ends more than ``_VALUE_TOLERANCE`` (relative) below
-    ``e_star`` or fails :func:`orbit_certificate`.
+    The span minimum is the smaller of the closed-form vertex value V(a) and the mixed-branch minimum M(a),
+    and it peaks where the two cross.  A multistart solve at a = 1/2 with at most ``_SEED_RESTARTS`` restarts
+    seeds the mixed branch.  Each side then runs a secant search on g = M - V (:func:`_continue_mixed_branch`):
+    a first step of ``_TRACE_STEP``, every step clipped to it and a to [0, 1], until one is at most
+    ``_CROSSING_TOLERANCE``.  A crossing whose g repeats (as at an end of [0, 1] that it keeps stepping past),
+    or not settled in int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its last solve.
+    ``a_star`` is the root with the larger V (the lower on a tie), and ``e_star`` = V(a_star).
+    Each corrected point is feasible: min(V, M) bounds the minimum.  Raises ``RuntimeError`` if the witness of
+    the solve at a = 1/2 is at a vertex, if a traced value exceeds ``e_star``, or if a multistart solve at
+    ``a_star`` with all ``config.restarts`` ends more than ``_VALUE_TOLERANCE`` (relative) below ``e_star`` or
+    fails :func:`orbit_certificate`.
     """
-    seed = min_span_entanglement(0.5, config)
+    config = config or OptimizationConfig()
+    seed = min_span_entanglement(0.5, replace(config, restarts=min(config.restarts, _SEED_RESTARTS)))
     objective = _SpanObjective(ResidueFamily.from_a(0.5))
     if objective.at_vertex(seed.argmin[None])[0]:
         raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
@@ -463,8 +463,8 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
                 break
             h = float(np.clip(h * gap / (previous - gap), -_TRACE_STEP, _TRACE_STEP))
             if abs(h) <= _CROSSING_TOLERANCE:
-                return vertex, a, x, abs(h)
-        converged[-1] = False
+                break
+        converged[-1] &= abs(h) <= _CROSSING_TOLERANCE  # an unsettled crossing fails its last solve
         return vertex, a, x, abs(h)
 
     e_star, a, x, crossing_error = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])

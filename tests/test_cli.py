@@ -157,7 +157,31 @@ def test_malformed_seed_env_var_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: QSHARE_SEED must be an integer, got 'abc'\n"
+    assert captured.err == "error: QSHARE_SEED must be an integer in ASCII decimal digits, got 'abc'\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", " 2", "\u0661\u0660"], ids=["underscore", "space", "arabic-indic"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("seed", ["family", "--restarts", "2", "--seed"]),
+        ("restarts", ["family", "--restarts"]),
+        ("d", ["singlet", "--d"]),
+        ("QSHARE_SEED", ["family", "--restarts", "2"]),
+    ],
+)
+def test_integer_inputs_take_only_ascii_digits(capsys, monkeypatch, name, argv, text):
+    # int() reads each of these as an integer: 1_0 and the Arabic-Indic digits as 10.
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
+    monkeypatch.setattr("qshare.cli.singlet_pair_reduced", refuse_to_solve)
+    if name == "QSHARE_SEED":
+        monkeypatch.setenv(name, text)
+    else:
+        argv = [*argv, text]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {name} must be an integer in ASCII decimal digits, got {text!r}\n"
 
 
 def test_table_text_uses_four_decimals(capsys):
@@ -329,15 +353,16 @@ def test_subcommands_take_only_their_options():
 
 
 def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
-    # At 10 iterations 64 of the 80 restarts of the two multistart solves
-    # stop short; the other 16 reach a basis vertex in time and converge
-    # there.  Each of the 24 Newton corrector solves of the mixed branch
-    # converges, since _MAX_ITERATIONS bounds only L-BFGS.
+    # At 10 iterations 47 of the 60 restarts of the two multistart solves
+    # (20 seed restarts, 40 at the certificate) stop short; the other 13
+    # reach a basis vertex in time and converge there.  Each of the 14
+    # Newton corrector solves of the mixed branch converges, since
+    # _MAX_ITERATIONS bounds only L-BFGS.
     monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 10)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["64 of 104 restarts did not converge"]
+    assert report["warnings"] == ["47 of 74 restarts did not converge"]
 
     # A corrector solve that stops short is counted too.
     calls = []
@@ -350,7 +375,29 @@ def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
     monkeypatch.setattr("qshare.optimize._continue_mixed_branch", first_stops_short)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     assert code == 1
-    assert json.loads(out)["warnings"] == ["65 of 104 restarts did not converge"]
+    assert json.loads(out)["warnings"] == ["48 of 74 restarts did not converge"]
+
+
+@pytest.mark.parametrize("restarts", [10, 200])
+def test_table_seeds_with_at_most_20_restarts(capsys, monkeypatch, restarts):
+    # The seed solve at a = 1/2 only has to reach the mixed branch; the
+    # certificate solve at a_star keeps the full budget.
+    solve = qshare.optimize.min_span_entanglement
+    solved = []
+
+    def recorded(a, config):
+        solved.append((a, config))
+        return solve(a, config)
+
+    monkeypatch.setattr("qshare.optimize.min_span_entanglement", recorded)
+    code, out = run_cli(capsys, ["table", "--format", "json", "--restarts", str(restarts), "--seed", "0"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["inputs"] == {"restarts": restarts, "seed": 0}
+    assert solved == [
+        (0.5, OptimizationConfig(restarts=min(restarts, 20), seed=0)),
+        (report["results"]["a_star"], OptimizationConfig(restarts=restarts, seed=0)),
+    ]
 
 
 def test_non_converging_corrector_exits_1(capsys, monkeypatch):
@@ -368,7 +415,7 @@ def test_non_converging_corrector_exits_1(capsys, monkeypatch):
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["24 of 104 restarts did not converge"]
+    assert report["warnings"] == ["14 of 74 restarts did not converge"]
     assert report["results"]["a_star"] == reference
 
 
@@ -377,7 +424,7 @@ def test_crossing_without_a_root_exits_1(capsys, gapless_branch):
     # a warning, which the text report prints last.
     code, out = run_cli(capsys, ["table", *TABLE_ARGS])
     assert code == 1
-    assert out.splitlines()[-1] == "warning: 2 of 284 restarts did not converge"
+    assert out.splitlines()[-1] == "warning: 2 of 114 restarts did not converge"
     assert "a_star = 0.0000" in out
 
 

@@ -68,6 +68,16 @@ def test_partial_trace_rejects_dimension_mismatch():
         partial_trace(np.eye(4) / 4, (2, 2), ())
 
 
+@pytest.mark.parametrize(
+    "check",
+    [lambda dims: partial_trace(np.eye(1), dims, (0,)), lambda dims: check_pure_state(np.ones(1), dims)],
+    ids=["partial_trace", "check_pure_state"],
+)
+def test_empty_dims_are_refused_by_name(check):
+    with pytest.raises(ValueError, match=r"^dims must list at least one subsystem$"):
+        check(())
+
+
 def test_reduced_density_matrix_matches_partial_trace():
     rng = np.random.default_rng(5)
     psi = random_state(rng, 24)

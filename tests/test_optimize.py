@@ -17,6 +17,7 @@ from qshare.optimize import (
     _TRACE_STEP,
     _VALUE_TOLERANCE,
     _VERTEX_WEIGHT,
+    _WITNESS_TIE,
     OptimizationConfig,
     _continue_mixed_branch,
     _finish,
@@ -294,8 +295,9 @@ class TestNewtonCorrector:
     def test_one_evaluation_per_iteration(self, monkeypatch, a):
         # Every Newton iteration evaluates the objective once, in
         # _tangent_hessian, and the returned gap is that evaluation's: no
-        # extra value is taken after the last step, so the only other
-        # eigendecomposition is the Hessian's own.
+        # extra value is taken after the last step, and the Hessian is built
+        # from the evaluation's own eigenpairs, so an iteration makes one
+        # eigendecomposition.
         start = min_span_entanglement(0.5, FAST).argmin
         calls = {}
 
@@ -306,16 +308,16 @@ class TestNewtonCorrector:
 
             return wrapper
 
-        monkeypatch.setattr(_SpanObjective, "value_and_grad", counted("value_and_grad", _SpanObjective.value_and_grad))
+        monkeypatch.setattr(_SpanObjective, "_evaluate", counted("evaluations", _SpanObjective._evaluate))
         monkeypatch.setattr("qshare.optimize._tangent_hessian", counted("iterations", _tangent_hessian))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
         for cap in (1, 2, 10):
             monkeypatch.setattr("qshare.optimize._NEWTON_ITERATIONS", cap)
-            calls.update(value_and_grad=0, iterations=0, eigh=0)
+            calls.update(evaluations=0, iterations=0, eigh=0)
             _, _, converged = _continue_mixed_branch(start, a)
-            assert 1 <= calls["value_and_grad"] == calls["iterations"] <= cap
-            assert calls["eigh"] == 2 * calls["iterations"]
+            assert 1 <= calls["evaluations"] == calls["iterations"] <= cap
+            assert calls["eigh"] == calls["iterations"]
             assert converged or calls["iterations"] == cap
 
     @pytest.mark.parametrize("a", [0.0, 0.461, 0.495, 1.0])
@@ -792,15 +794,15 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=11))
-        assert len(calls) == 24
+        assert len(calls) == 14
         roots = []
         for upper in (False, True):
             side = [(0.5, None)] + [call for call in calls if (call[0] > 0.5) == upper]
             steps = np.abs(np.diff([a for a, _ in side]))
             assert steps[0] == pytest.approx(_TRACE_STEP, abs=1e-15)
             assert np.all(steps <= _TRACE_STEP + 1e-15)
-            # At most 5 secant steps fall short of the clip.
-            assert np.count_nonzero(steps < _TRACE_STEP - 1e-12) <= 5
+            # Two full steps, then 5 secant steps that fall short of the clip.
+            assert np.count_nonzero(steps < _TRACE_STEP - 1e-12) == 5
             (a_prev, g_prev), (a, gap) = side[-2:]
             last_step = abs((a - a_prev) * gap / (g_prev - gap))
             assert last_step <= _CROSSING_TOLERANCE
@@ -814,6 +816,30 @@ class TestMaximizePairEof:
         assert scan.e_star == vertex_value(lower)
         # The scan steps by its clipped h, which a + h rounds.
         assert scan.crossing_error == pytest.approx(last_step, rel=1e-5)
+
+    def test_trace_cost_is_pinned(self, monkeypatch):
+        # A 40-restart scan at seed 0 makes 14 corrector solves (per side two
+        # full steps and five secant steps) of 47 Newton iterations, plus
+        # one tangent Hessian at a_star; each Hessian takes one eigh.
+        counts = dict(solves=0, hessians=0, eigh=0)
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        def hessian(objective, x):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+                return counted("hessians", _tangent_hessian)(objective, x)
+
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", counted("solves", _continue_mixed_branch))
+        monkeypatch.setattr("qshare.optimize._tangent_hessian", hessian)
+        scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
+        assert counts == dict(solves=14, hessians=48, eigh=48)
+        assert scan.restarts == 20 + 40 + 14
 
     def test_upper_crossing_wins_on_a_synthetic_branch(self, monkeypatch):
         # A synthetic mixed branch with g = 10 (a - 0.4587)(a - 0.5391): its
@@ -850,14 +876,18 @@ class TestMaximizePairEof:
         scan = fast_scan(0)
         vertex = [vertex_value(a) for a, _ in scan.scan_trace[1:-1]]
         window = [t for t, v in zip(scan.scan_trace[1:-1], vertex) if v > scan.e_star]
-        # Full steps from 0.465 to 0.535, less a = 1/2, whose value is the
-        # multistart solve; the secant steps below 0.465 stay above a_star.
-        # At a_star itself a basis vertex ties the branch, so a multistart
-        # argmin there may be the vertex (see the root test below).
-        assert sorted(round(a, 3) for a, _ in window if a > 0.4625) == [
-            round(0.465 + 0.005 * k, 3) for k in range(15) if k != 7
-        ]
+        # The full steps to 0.48 and 0.52 (0.46 lies below a_star, 0.54 past
+        # the upper root); the secant steps below 0.4625 stay above a_star.
+        assert sorted(round(a, 3) for a, _ in window if a > 0.4625) == [0.48, 0.52]
         assert all(a > scan.a_star for a, _ in window)
+        # At a_star itself a basis vertex ties the branch (see the root test
+        # below).  Within _WITNESS_TIE of V(a) the multistart witness is the
+        # lowest-index tied restart, which may be that vertex: here one secant
+        # step, 4e-13 above a_star and 1.4e-13 below V.
+        tied = [(a, value) for a, value in window if vertex_value(a) - value <= _WITNESS_TIE]
+        assert len(tied) == 1 and abs(tied[0][0] - scan.a_star) <= 1e-12
+        window = [t for t in window if t not in tied]
+        assert len(window) == 4
         for a, value in window:
             _, polished, converged = _continue_mixed_branch(min_span_entanglement(a, FAST).argmin, a)
             assert converged
@@ -877,7 +907,7 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         maximize_pair_eof(FAST)
-        assert len(continued) > 14
+        assert len(continued) == 14
         states = [ResidueFamily.from_a(a).span_state(c) for a, c in continued]
         assert min(schmidt_spectrum(s, PAIR_DIMS, PAIR_CUT)[-1] for s in states) >= 1e6 * SPECTRUM_CLIP
 
