@@ -26,6 +26,7 @@ from .measures import (
 from .optimize import PAIR_CUT, PAIR_DIMS, OptimizationConfig, min_span_entanglement, pair_eof, span_entanglement
 from .states import (
     MODULUS,
+    OMEGA,
     ResidueFamily,
     cyclic_permute,
     orbit_decomposition,
@@ -201,7 +202,7 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
     dev = 0.0
     for j in range(MODULUS):
         s_j = family.pair_state(j)
-        dev = max(dev, float(np.max(np.abs(ops.pair_phase @ s_j - ops.omega**j * s_j))))
+        dev = max(dev, float(np.max(np.abs(ops.pair_phase @ s_j - OMEGA**j * s_j))))
         dev = max(dev, float(np.max(np.abs(ops.pair_shift @ s_j - family.pair_state((j + 1) % MODULUS)))))
     out.append(_result("pair symmetries act by phase and shift on the basis", dev, 1e-12))
 

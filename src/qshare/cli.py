@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from .checks import run_all_checks, singlet_cross_check
@@ -32,7 +33,8 @@ SCHEMA_VERSION = 1
 SEED_ENV_VAR = "QSHARE_SEED"
 CSV_HEADER = ["d", "n", "e_bound", "ratio", "provenance"]
 
-_DEFAULT_RESTARTS = {"table": 200, "family": 200, "verify": 30}
+# Restarts per solve when --restarts is absent; table and family take OptimizationConfig's default.
+_DEFAULT_RESTARTS = {"verify": 30}
 
 
 def _parse_integer(text, name) -> int:
@@ -53,7 +55,8 @@ def _resolve_seed(args):
 
 
 def _config_from_args(args):
-    restarts = _DEFAULT_RESTARTS[args.command] if args.restarts is None else _parse_integer(args.restarts, "restarts")
+    default = _DEFAULT_RESTARTS.get(args.command, OptimizationConfig.restarts)
+    restarts = default if args.restarts is None else _parse_integer(args.restarts, "restarts")
     return OptimizationConfig(restarts=restarts, seed=_resolve_seed(args))
 
 
@@ -109,13 +112,16 @@ def run_singlet(args) -> dict:
 def run_family(args) -> dict:
     """Span minimum and decomposition diagnostics at one aligned weight."""
     config = _config_from_args(args)
-    family = ResidueFamily.from_a(args.a)
-    result = min_span_entanglement(args.a, config)
+    # float() would also read spaces, underscores, non-ASCII digits, inf and nan.
+    if not re.fullmatch(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][+-]?[0-9]+)?", args.a):
+        raise ValueError(f"a must be a number in ASCII decimal notation, got {args.a!r}")
+    family = ResidueFamily.from_a(float(args.a))
+    result = min_span_entanglement(family.a, config)
     warnings = []
     if result.failed_restarts:
         warnings.append(f"{len(result.failed_restarts)} of {config.restarts} restarts did not converge")
 
-    reconstruction, average_gap = orbit_certificate(result, args.a)
+    reconstruction, average_gap = orbit_certificate(result, family.a)
 
     results = {
         "b": family.b,
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     singlet = sub.add_parser("singlet", parents=[no_csv], help="pair marginal of the d-particle collective singlet")
     singlet.add_argument("--d", default="3", help="particle count and level count")
     family = sub.add_parser("family", parents=[solver, no_csv], help="three-particle family at one aligned weight")
-    family.add_argument("--a", type=float, default=0.461, help="aligned weight in [0, 1]")
+    family.add_argument("--a", default="0.461", help="aligned weight in [0, 1]")
     sub.add_parser("verify", parents=[solver, no_csv], help="run the self-verification suite")
     parser.set_defaults(subparsers=sub.choices)
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import SPECTRUM_CLIP, check_integer
-from .measures import Decomposition, pure_entanglement, shannon_entropy
+from .measures import Decomposition, pure_entanglement
 from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 __all__ = [
@@ -29,9 +29,6 @@ PAIR_CUT = (0,)
 # basis vertex; one at or below it is off-vertex, as the scan's seed at
 # a = 1/2 must be to lie on the mixed branch.
 _VERTEX_WEIGHT = 0.99
-# Restarts within this of the best value count when deciding whether a
-# non-basis minimizer was found.
-_NEAR_BEST = 1e-6
 # Restarts within this of the best value tie: the lowest-index one is the
 # witness, so the report does not follow the last bit of the arithmetic.
 _WITNESS_TIE = 1e-11
@@ -86,8 +83,8 @@ class OptimizationResult:
     nearest vertex at exactly that value.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
-    ``nontrivial_minimizer`` records whether any near-best restart ended away
-    from a basis vertex.
+    ``nontrivial_minimizer`` records whether any restart within
+    ``_WITNESS_TIE`` of the best ended away from a basis vertex.
     """
 
     value: float
@@ -109,10 +106,9 @@ class ScanResult:
     ``e_star`` is the vertex value V(a_star), at least every traced value.
     ``restarts`` counts the restarts of both multistart solves (at most
     ``_SEED_RESTARTS`` of them at a = 1/2) and each Newton corrector solve,
-    ``failed_restarts`` those that did not converge.
-    ``crossing_error`` is the last secant step |da| on g = M - V, and
-    ``hessian_min`` the smallest tangent Hessian eigenvalue of the mixed
-    minimizer at ``a_star``: positive at a strict local minimum.
+    ``failed_restarts`` those that did not converge, and ``hessian_min`` the
+    smallest tangent Hessian eigenvalue of the mixed minimizer at ``a_star``:
+    positive at a strict local minimum.
     """
 
     a_star: float
@@ -120,7 +116,6 @@ class ScanResult:
     scan_trace: tuple[tuple[float, float], ...]
     restarts: int
     failed_restarts: int
-    crossing_error: float
     hessian_min: float
 
 
@@ -159,9 +154,9 @@ class _SpanObjective:
         m = np.einsum("rj,jab->rab", x, self.basis_mats)
         w, p = np.linalg.eigh((m @ m.transpose(0, 2, 1)) / n2[:, None, None])
         w = np.clip(w, 0.0, None)
-        f = shannon_entropy(w)
-        # dE = -Tr(log2(rho) drho); the spectral log uses the clipped spectrum.
+        # The value and dE = -Tr(log2(rho) drho) share one clipped log, 0 log 0 := 0.
         log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
+        f = -np.sum(w * log_w, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
         lmat = (p * log_w[:, None, :]) @ p.transpose(0, 2, 1)
         g = np.einsum("jab,rab->rj", self.basis_mats, lmat @ m)
         grad = -(2.0 / n2[:, None]) * (g + f[:, None] * x)
@@ -336,9 +331,10 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     if not usable.any():
         raise RuntimeError(f"all {config.restarts} restarts failed at a={a}")
     lowest = restart_values.min()
-    best = int(np.argmax(restart_values <= lowest + _WITNESS_TIE))
-    near_best = usable & (restart_values <= lowest + _NEAR_BEST)
-    off_vertex = ~objective.at_vertex(coeffs)
+    # _finish caps every value at V(a) and puts every vertex exactly there: the
+    # lowest restart is off a vertex, or every usable restart ties at V(a).
+    tied = restart_values <= lowest + _WITNESS_TIE
+    best = int(np.argmax(tied))
     return OptimizationResult(
         value=float(restart_values[best]),
         argmin=coeffs[best],
@@ -346,7 +342,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
         iterations_used=int(iterations[best]),
         restart_values=restart_values,
         failed_restarts=tuple(int(i) for i in np.flatnonzero(~(usable & converged))),
-        nontrivial_minimizer=bool(np.any(near_best & off_vertex)),
+        nontrivial_minimizer=bool(np.any(tied & ~objective.at_vertex(coeffs))),
     )
 
 
@@ -465,9 +461,9 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
             if abs(h) <= _CROSSING_TOLERANCE:
                 break
         converged[-1] &= abs(h) <= _CROSSING_TOLERANCE  # an unsettled crossing fails its last solve
-        return vertex, a, x, abs(h)
+        return vertex, a, x
 
-    e_star, a, x, crossing_error = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])
+    e_star, a, x = max(crossing(-_TRACE_STEP), crossing(_TRACE_STEP), key=lambda root: root[0])
     peak_a, peak = max(trace, key=lambda t: t[1])
     if peak > e_star:
         raise RuntimeError(f"traced value {peak!r} at a={peak_a} exceeds V(a*) {e_star!r} at a*={a}")
@@ -485,6 +481,5 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         scan_trace=tuple(trace),
         restarts=len(seed.restart_values) + len(result.restart_values) + len(converged),
         failed_restarts=len(seed.failed_restarts) + len(result.failed_restarts) + converged.count(False),
-        crossing_error=crossing_error,
         hessian_min=float(np.linalg.eigvalsh(hessian)[0]),
     )

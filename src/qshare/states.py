@@ -94,20 +94,16 @@ class ResidueFamily:
     Normalization a^2 + 3 b^2 = 1 fixes b >= 0, so the member is a function
     of ``a`` alone.
 
-    Direct construction accepts any three distinct nonzero residues, which is
-    deliberate: the verification suite uses it to demonstrate that a corrupted
-    residue set breaks the family's symmetry checks.
+    The residue set is a class attribute, not a field: a subclass may
+    override it, as the tests do to show that a corrupted set breaks the
+    family's symmetry checks.
     """
 
     a: float
-    residues: tuple[int, ...] = tuple(sorted(quadratic_residues(MODULUS)))
+    residues = tuple(sorted(quadratic_residues(MODULUS)))
 
     def __post_init__(self):
         object.__setattr__(self, "a", check_real(self.a, "a", 0, 1))
-        res = tuple(check_integer(k, "residues", 1, MODULUS - 1) for k in self.residues)
-        if len(res) != 3 or len(set(res)) != 3:
-            raise ValueError(f"residues must be three distinct labels in 1..6, got {res}")
-        object.__setattr__(self, "residues", res)
 
     @classmethod
     def from_a(cls, a):
@@ -117,7 +113,7 @@ class ResidueFamily:
     @property
     def b(self) -> float:
         """Weight of each residue term, sqrt((1 - a^2) / 3)."""
-        return math.sqrt(max(0.0, 1.0 - self.a * self.a) / 3.0)
+        return math.sqrt((1.0 - self.a * self.a) / 3.0)
 
     @property
     def pair_state_entanglement(self) -> float:
@@ -184,14 +180,13 @@ def gauge_fix(coeffs):
 class SymmetryOps:
     """Local unitaries generating the orbit that decomposes the pair marginal.
 
-    ``pair_phase`` multiplies pair state j by omega^j and ``pair_shift`` maps
-    pair state j to pair state j+1 (mod 7); both act locally on the two
+    ``pair_phase`` multiplies pair state j by ``OMEGA``^j and ``pair_shift``
+    maps pair state j to pair state j+1 (mod 7); both act locally on the two
     particles, so they preserve entanglement across the pair cut.
     """
 
-    pair_phase: np.ndarray  # 49x49 diagonal, |j, k> -> omega^(5j + 3k) |j, k>
+    pair_phase: np.ndarray  # 49x49 diagonal, |j, k> -> OMEGA^(5j + 3k) |j, k>
     pair_shift: np.ndarray  # 49x49, |j, k> -> |j+1, k+1> (mod 7)
-    omega: complex
 
 
 def symmetry_operators() -> SymmetryOps:
@@ -203,7 +198,7 @@ def symmetry_operators() -> SymmetryOps:
     # Exponents reduced mod 7 keep the entries exact roots of unity.
     pair_phase = np.kron(np.diag(powers[(5 * levels) % MODULUS]), np.diag(powers[(3 * levels) % MODULUS]))
     pair_shift = np.kron(shift, shift)
-    return SymmetryOps(pair_phase=pair_phase, pair_shift=pair_shift, omega=OMEGA)
+    return SymmetryOps(pair_phase=pair_phase, pair_shift=pair_shift)
 
 
 def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
@@ -212,9 +207,9 @@ def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
     The 49 elements pair_shift^p pair_phase^m |seed> each carry weight 1/49;
     their mixture reproduces ``family.pair_density()`` and every element has
     the seed's entanglement, because the orbit operators are local unitaries.
-    As pair_phase multiplies pair state j by omega^j and pair_shift maps it
+    As pair_phase multiplies pair state j by OMEGA^j and pair_shift maps it
     to pair state j+1, element (m, p) has the seed's span coefficients times
-    omega^(mj), rolled by p.
+    OMEGA^(mj), rolled by p.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     family.span_state(coeffs)  # validates the coefficients

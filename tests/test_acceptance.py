@@ -32,6 +32,7 @@ from qshare.optimize import (
     span_entanglement,
 )
 from qshare.states import (
+    OMEGA,
     ResidueFamily,
     cyclic_permute,
     gauge_fix,
@@ -187,7 +188,7 @@ def test_criterion_8_symmetry_suite():
     worst_pair = 0.0
     for j in range(7):
         s_j = family.pair_state(j)
-        worst_pair = max(worst_pair, float(np.max(np.abs(ops.pair_phase @ s_j - ops.omega**j * s_j))))
+        worst_pair = max(worst_pair, float(np.max(np.abs(ops.pair_phase @ s_j - OMEGA**j * s_j))))
         worst_pair = max(worst_pair, float(np.max(np.abs(ops.pair_shift @ s_j - family.pair_state((j + 1) % 7)))))
 
     member = family.state()

@@ -40,7 +40,6 @@ INTEGER_ENTRY_POINTS = {
     "quadratic_residues": ("p", lambda v: sorted(quadratic_residues(v))),
     "singlet_state": ("d", singlet_state),
     "singlet_pair_reduced": ("d", singlet_pair_reduced),
-    "ResidueFamily-residues": ("residues", lambda v: ResidueFamily(0.5, residues=(v, 2, 4)).pair_basis()),
     "pair_state": ("j", lambda v: ResidueFamily.from_a(0.5).pair_state(v)),
     "w_state": ("n", w_state),
     "OptimizationConfig-restarts": ("restarts", lambda v: OptimizationConfig(restarts=v).restarts),

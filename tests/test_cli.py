@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,39 @@ def test_integer_inputs_take_only_ascii_digits(capsys, monkeypatch, name, argv, 
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: {name} must be an integer in ASCII decimal digits, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.4_61", " 0.5", "\u0660.\u0665", "0x1", "nan", "inf", "1.", "1.5e"],
+    ids=["underscore", "space", "arabic-indic", "hexadecimal", "nan", "inf", "bare-point", "bare-exponent"],
+)
+def test_weight_takes_only_an_ascii_decimal_literal(capsys, monkeypatch, text):
+    # float() reads the first three as 0.461 and 0.5, and argparse's float type refuses 0x1 with a usage line.
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", refuse_to_solve)
+    code = main(["family", "--restarts", "2", "--a", text])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: a must be a number in ASCII decimal notation, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "a"), [("0.461", 0.461), ("5e-1", 0.5), (".5", 0.5), ("+1E-0", 1.0), ("-0.0", 0.0), ("1.5", None)]
+)
+def test_weight_reads_an_ascii_decimal_literal_once(capsys, monkeypatch, text, a):
+    # The solve gets the weight as checked, -0.0 as 0.0; 1.5 fails the range check first.
+    solved = []
+
+    def stop(weight, config):
+        solved.append(weight)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr("qshare.cli.min_span_entanglement", stop)
+    assert main(["family", "--restarts", "2", "--a", text]) == 2
+    if a is None:
+        assert (solved, capsys.readouterr().err) == ([], "error: a must be a real number in [0, 1], got 1.5\n")
+    else:
+        assert solved == [a] and math.copysign(1.0, solved[0]) == 1.0
 
 
 def test_table_text_uses_four_decimals(capsys):
@@ -462,7 +496,10 @@ def test_measure_checks_fail_when_the_werner_fit_rejects(monkeypatch):
 def test_verify_suite_catches_corrupted_residues():
     # {1, 2, 3} is not doubling-closed, so the member state loses its cyclic
     # symmetry; the residue-validity and cyclic-invariance checks must fail.
-    corrupted = ResidueFamily(a=0.5, residues=(1, 2, 3))
+    class CorruptedFamily(ResidueFamily):
+        residues = (1, 2, 3)
+
+    corrupted = CorruptedFamily(a=0.5)
     rng = np.random.default_rng(0)
     results = family_checks(corrupted, rng)
     by_name = {r.name: r.passed for r in results}

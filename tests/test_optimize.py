@@ -207,6 +207,26 @@ class TestObjectiveGradient:
                     numeric = (up[0] - down[0]) / (2 * step)
                     assert grad[0, i] == pytest.approx(numeric, abs=5e-7)
 
+    def test_value_is_the_entropy_of_the_clipped_spectrum(self):
+        # The value takes 0 log 0 := 0 from the clipped log the gradient uses;
+        # it equals shannon_entropy of the spectrum bit for bit, on random rows
+        # and on rank-deficient ones (vertices, few-term rows, vertices nudged
+        # 1e-8 off) whose spectra hold exact zeros and entries below the clip.
+        rng = np.random.default_rng(5)
+        exact_zero = below_clip = 0
+        for a in (0.0, 0.3, 0.461, 0.5, 1.0):
+            objective = _SpanObjective(ResidueFamily.from_a(a))
+            few = rng.random((40, MODULUS)) < 0.3
+            few[np.arange(40), rng.integers(MODULUS, size=40)] = True
+            few = few * rng.standard_normal(few.shape)
+            nudged = np.eye(MODULUS) + 1e-8 * rng.standard_normal((MODULUS, MODULUS))
+            x = np.concatenate([rng.standard_normal((40, MODULUS)), np.eye(MODULUS), few, nudged])
+            w, _, _, f, _ = objective._evaluate(x)
+            assert f.tobytes() == shannon_entropy(w).tobytes()
+            exact_zero += np.count_nonzero((w == 0.0).any(axis=1))
+            below_clip += np.count_nonzero(((w > 0.0) & (w <= SPECTRUM_CLIP)).any(axis=1))
+        assert exact_zero > 0 and below_clip > 0
+
     def test_scale_invariance(self):
         objective = _SpanObjective(ResidueFamily.from_a(0.461))
         rng = np.random.default_rng(2)
@@ -601,6 +621,34 @@ class TestMinSpanEntanglement:
         assert max(abs(v - result.value) for v in values) < 1e-10
 
 
+class TestNontrivialMinimizer:
+    @pytest.mark.parametrize("restarts", (5, 40))
+    def test_flag_does_not_depend_on_the_tie_window(self, monkeypatch, restarts):
+        # _finish caps every usable restart at V(a) and puts every vertex
+        # restart exactly there, so "some restart within _WITNESS_TIE of the
+        # best is off a vertex" and the same within 1e-6 agree.
+        finished = []
+
+        def recorded(objective, x):
+            coeffs, values = _finish(objective, x)
+            finished.append((objective, coeffs))
+            return coeffs, values
+
+        monkeypatch.setattr("qshare.optimize._finish", recorded)
+        flags = []
+        for a in [*np.linspace(0.0, 1.0, 21), 0.47, 0.49, 0.51, 0.53]:
+            for seed in (0, 1):
+                result = min_span_entanglement(float(a), OptimizationConfig(restarts=restarts, seed=seed))
+                objective, coeffs = finished.pop()
+                values, off = result.restart_values, ~objective.at_vertex(coeffs)
+                assert np.all(values <= objective.vertex_value)
+                assert np.all(values[~off] == objective.vertex_value)
+                for window in (_WITNESS_TIE, 1e-6):
+                    assert result.nontrivial_minimizer == np.any((values <= values.min() + window) & off), (a, seed)
+                flags.append(result.nontrivial_minimizer)
+        assert 0 < sum(flags) < len(flags)
+
+
 class TestVertexBound:
     @pytest.mark.parametrize("a", [0.0, 0.2, 0.461, 0.5, 0.8, 1.0])
     def test_matches_closed_form(self, a):
@@ -806,16 +854,16 @@ class TestMaximizePairEof:
             (a_prev, g_prev), (a, gap) = side[-2:]
             last_step = abs((a - a_prev) * gap / (g_prev - gap))
             assert last_step <= _CROSSING_TOLERANCE
-            roots.append((a, last_step))
+            roots.append(a)
         assert calls == sorted(calls, key=lambda call: call[0] > 0.5)
-        (lower, last_step), (upper, _) = roots
+        lower, upper = roots
         assert lower == pytest.approx(0.46099840856814, abs=1e-13)
         assert upper == pytest.approx(0.53914335724461, abs=1e-13)
         assert vertex_value(lower) > vertex_value(upper)
         assert scan.a_star == lower
         assert scan.e_star == vertex_value(lower)
-        # The scan steps by its clipped h, which a + h rounds.
-        assert scan.crossing_error == pytest.approx(last_step, rel=1e-5)
+        # Both crossings settled, so neither failed its last corrector solve.
+        assert scan.failed_restarts == 0
 
     def test_trace_cost_is_pinned(self, monkeypatch):
         # A 40-restart scan at seed 0 makes 14 corrector solves (per side two
@@ -850,7 +898,10 @@ class TestMaximizePairEof:
         def gap(a):
             return 10.0 * (a - lower) * (a - upper)
 
+        steps = []
+
         def synthetic(x, a):
+            steps.append(a)
             return x, gap(a), True
 
         def certified(a, config):
@@ -866,7 +917,10 @@ class TestMaximizePairEof:
         scan = maximize_pair_eof(FAST)
         assert scan.a_star == pytest.approx(upper, abs=1e-13)
         assert scan.e_star == vertex_value(scan.a_star)
-        assert scan.crossing_error <= _CROSSING_TOLERANCE
+        # The upper side's last secant step, recorded, settled the crossing.
+        (a_prev, a_last) = [a for a in steps if a > 0.5][-2:]
+        last_step = abs((a_last - a_prev) * gap(a_last) / (gap(a_prev) - gap(a_last)))
+        assert last_step <= _CROSSING_TOLERANCE
 
     def test_continued_envelope_matches_multistart(self):
         # Where V(a) > E*, min(V, M) on the continued branch matches the
@@ -945,9 +999,11 @@ class TestMaximizePairEof:
 
     @pytest.mark.parametrize("seed", (0, 11))
     def test_reports_the_crossing_error_and_curvature(self, seed):
+        # The crossing settles (a last secant step of at most 1e-13) exactly
+        # when its last corrector solve counts as converged.
         # Measured: hessian_min 0.261 at the lower root (0.204 at the upper).
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed))
-        assert 0.0 <= scan.crossing_error <= 1e-13
+        assert scan.failed_restarts == 0
         assert scan.hessian_min >= 0.1
 
     def test_unsettled_crossing_is_counted_not_raised(self, monkeypatch):
