@@ -9,7 +9,7 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,7 @@ PAIR_DIMS = (MODULUS, MODULUS)
 PAIR_CUT = (0,)
 
 # A point whose largest squared coefficient share exceeds this has reached a
-# basis vertex; one at or below it is off-vertex, as the scan's seed at
-# a = 1/2 must be to lie on the mixed branch.
+# basis vertex; one at or below it is off-vertex.
 _VERTEX_WEIGHT = 0.99
 # Restarts within this of the best value tie: the lowest-index one is the
 # witness, so the report does not follow the last bit of the arithmetic.
@@ -41,11 +40,12 @@ _MAX_ITERATIONS = 5000
 _VALUE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-12
 
-# Restarts of the seed solve at a = 1/2.  A restart ends on a basis vertex, off the mixed
-# branch, with probability about 0.448, so all 20 miss and the scan raises once in ~1e7.
-_SEED_RESTARTS = 20
+# Start of the scan's trace: the seed-0, 200-restart witness at a = 1/2 rounded to one
+# decimal, (5, 3, -2, -2, 3, -1, -7) / sqrt(101).  Newton corrects it onto the mixed branch
+# at a = 1/2 in 6 iterations.
+_MIXED_SEED = np.array([5.0, 3.0, -2.0, -2.0, 3.0, -1.0, -7.0]) / np.sqrt(101.0)
 # Largest step in a of the secant search for each crossing: from the a = 1/2 seed, Newton
-# converges onto the mixed branch at every a in [0.425, 0.55], in at most 7 iterations.
+# converges onto the mixed branch at every a in [0.425, 0.55], in at most 8 iterations.
 _TRACE_STEP = 0.02
 # Newton corrector iteration cap and crossing tolerance in a.
 _NEWTON_ITERATIONS = 10
@@ -83,8 +83,8 @@ class OptimizationResult:
     nearest vertex at exactly that value.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
-    ``nontrivial_minimizer`` records whether any restart within
-    ``_WITNESS_TIE`` of the best ended away from a basis vertex.
+    ``nontrivial_minimizer`` records whether any usable restart ended away
+    from a basis vertex; such a restart ends at or below the vertex value.
     """
 
     value: float
@@ -100,12 +100,12 @@ class OptimizationResult:
 class ScanResult:
     """Outcome of the outer maximization over the aligned weight a.
 
-    ``scan_trace`` lists (a, value) for the multistart solve at a = 1/2, every
-    corrected point of the mixed branch as (a, min(V(a), M(a))), lower side
-    first, and the multistart solve at ``a_star`` that certifies the peak.
-    ``e_star`` is the vertex value V(a_star), at least every traced value.
-    ``restarts`` counts the restarts of both multistart solves (at most
-    ``_SEED_RESTARTS`` of them at a = 1/2) and each Newton corrector solve,
+    ``scan_trace`` lists (a, value) for every corrected point of the mixed
+    branch as (a, min(V(a), M(a))): the seed at a = 1/2, then the lower side,
+    then the upper; last comes the multistart solve at ``a_star`` that
+    certifies the peak.  ``e_star`` is the vertex value V(a_star), at least
+    every traced value.  ``restarts`` counts the restarts of that one
+    multistart solve and each Newton corrector solve, the seed's included,
     ``failed_restarts`` those that did not converge, and ``hessian_min`` the
     smallest tangent Hessian eigenvalue of the mixed minimizer at ``a_star``:
     positive at a strict local minimum.
@@ -342,7 +342,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
         iterations_used=int(iterations[best]),
         restart_values=restart_values,
         failed_restarts=tuple(int(i) for i in np.flatnonzero(~(usable & converged))),
-        nontrivial_minimizer=bool(np.any(tied & ~objective.at_vertex(coeffs))),
+        nontrivial_minimizer=bool(np.any(usable & ~objective.at_vertex(coeffs))),
     )
 
 
@@ -428,27 +428,26 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
     """Maximize the span minimum over the aligned weight a in [0, 1].
 
     The span minimum is the smaller of the closed-form vertex value V(a) and the mixed-branch minimum M(a),
-    and it peaks where the two cross.  A multistart solve at a = 1/2 with at most ``_SEED_RESTARTS`` restarts
-    seeds the mixed branch.  Each side then runs a secant search on g = M - V (:func:`_continue_mixed_branch`):
-    a first step of ``_TRACE_STEP``, every step clipped to it and a to [0, 1], until one is at most
-    ``_CROSSING_TOLERANCE``.  A crossing whose g repeats (as at an end of [0, 1] that it keeps stepping past),
-    or not settled in int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its last solve.
-    ``a_star`` is the root with the larger V (the lower on a tie), and ``e_star`` = V(a_star).
-    Each corrected point is feasible: min(V, M) bounds the minimum.  Raises ``RuntimeError`` if the witness of
-    the solve at a = 1/2 is at a vertex, if a traced value exceeds ``e_star``, or if a multistart solve at
-    ``a_star`` with all ``config.restarts`` ends more than ``_VALUE_TOLERANCE`` (relative) below ``e_star`` or
-    fails :func:`orbit_certificate`.
+    and it peaks where the two cross.  The Newton corrector (:func:`_continue_mixed_branch`) moves the stored
+    direction ``_MIXED_SEED`` onto the mixed branch at a = 1/2.  Each side then runs a secant search on
+    g = M - V from there: a first step of ``_TRACE_STEP``, every step clipped to it and a to [0, 1], until one
+    is at most ``_CROSSING_TOLERANCE``.  A crossing whose g repeats (as at an end of [0, 1] that it keeps
+    stepping past), or not settled in int(0.5 / ``_TRACE_STEP``) + ``_NEWTON_ITERATIONS`` solves, fails its
+    last solve.  ``a_star`` is the root with the larger V (the lower on a tie), and ``e_star`` = V(a_star).
+    Each corrected point is feasible: min(V, M) bounds the minimum.  Raises ``RuntimeError`` unless the seed's
+    solve converges below V(1/2), if a traced value exceeds ``e_star``, or if the one multistart solve, at
+    ``a_star`` with ``config``, ends more than ``_VALUE_TOLERANCE`` (relative) below ``e_star`` or fails
+    :func:`orbit_certificate`.
     """
     config = config or OptimizationConfig()
-    seed = min_span_entanglement(0.5, replace(config, restarts=min(config.restarts, _SEED_RESTARTS)))
-    objective = _SpanObjective(ResidueFamily.from_a(0.5))
-    if objective.at_vertex(seed.argmin[None])[0]:
-        raise RuntimeError(f"no mixed-branch minimizer at a=0.5: the solve ended on a basis vertex at {seed.value!r}")
-    trace = [(0.5, seed.value)]
-    converged = []  # per corrector solve
+    seed, seed_gap, seed_ok = _continue_mixed_branch(_MIXED_SEED, 0.5)
+    if not (seed_ok and seed_gap < 0.0):
+        raise RuntimeError(f"no mixed-branch point at a=0.5: the seed's solve gave g={seed_gap!r}, converged={seed_ok}")
+    trace = [(0.5, ResidueFamily.from_a(0.5).pair_state_entanglement + seed_gap)]
+    converged = [seed_ok]  # per corrector solve
 
     def crossing(h):
-        x, a, gap = seed.argmin, 0.5, seed.value - objective.vertex_value
+        x, a, gap = seed, 0.5, seed_gap
         for _ in range(int(0.5 / _TRACE_STEP) + _NEWTON_ITERATIONS):
             a, previous = float(np.clip(a + h, 0.0, 1.0)), gap
             x, gap, ok = _continue_mixed_branch(x, a)
@@ -479,7 +478,7 @@ def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:
         a_star=a,
         e_star=e_star,
         scan_trace=tuple(trace),
-        restarts=len(seed.restart_values) + len(result.restart_values) + len(converged),
-        failed_restarts=len(seed.failed_restarts) + len(result.failed_restarts) + converged.count(False),
+        restarts=len(result.restart_values) + len(converged),
+        failed_restarts=len(result.failed_restarts) + converged.count(False),
         hessian_min=float(np.linalg.eigvalsh(hessian)[0]),
     )

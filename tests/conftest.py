@@ -9,7 +9,6 @@ import dataclasses
 import pytest
 
 import qshare.optimize
-from qshare.states import ResidueFamily
 
 try:
     from hypothesis import settings
@@ -24,8 +23,8 @@ else:
 def lowered_peak_solve(monkeypatch):
     """Make every multistart solve report 1e-9 below its value.
 
-    A scan still seeds its mixed branch at a = 1/2 and traces the same
-    crossing, while the solve that certifies its peak lies more than the
+    A scan still traces the same crossing, since its seed at a = 1/2 is a
+    corrector solve, while the solve that certifies its peak lies more than the
     solver's value tolerance (``qshare.optimize._VALUE_TOLERANCE``, 1e-10
     relative) below the vertex value there.
     """
@@ -42,11 +41,10 @@ def lowered_peak_solve(monkeypatch):
 def gapless_branch(monkeypatch):
     """A synthetic mixed branch whose g = M - V = -(1 + a) never reaches 0 on [0, 1].
 
-    The seed solve at a = 1/2 is moved onto the branch, so no traced value
-    exceeds the vertex value.  Returns the weights a at which the Newton
+    The corrector's seed at a = 1/2 lies on the branch too, so no traced
+    value exceeds the vertex value.  Returns the weights a at which the Newton
     corrector is called, in order.
     """
-    solve = qshare.optimize.min_span_entanglement
     weights = []
 
     def gap(a):
@@ -56,12 +54,5 @@ def gapless_branch(monkeypatch):
         weights.append(a)
         return x, gap(a), True
 
-    def seeded(a, config):
-        result = solve(a, config)
-        if a != 0.5:
-            return result
-        return dataclasses.replace(result, value=ResidueFamily.from_a(a).pair_state_entanglement + gap(a))
-
     monkeypatch.setattr(qshare.optimize, "_continue_mixed_branch", synthetic)
-    monkeypatch.setattr(qshare.optimize, "min_span_entanglement", seeded)
     return weights

@@ -2,8 +2,8 @@
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s`` or in captured
 output on failure) and asserts the criterion at its stated tolerance.  The
-outer-scan criterion runs both the full budget and the reduced smoke variant,
-so this module takes a few minutes end to end.
+outer-scan criterion runs both the full budget and the reduced smoke variant;
+the module takes about 2 s end to end.
 """
 
 import json

@@ -387,35 +387,36 @@ def test_subcommands_take_only_their_options():
 
 
 def test_unconverged_table_solves_exit_1(capsys, monkeypatch):
-    # At 10 iterations 47 of the 60 restarts of the two multistart solves
-    # (20 seed restarts, 40 at the certificate) stop short; the other 13
-    # reach a basis vertex in time and converge there.  Each of the 14
-    # Newton corrector solves of the mixed branch converges, since
-    # _MAX_ITERATIONS bounds only L-BFGS.
+    # At 10 iterations 30 of the 40 restarts of the one multistart solve,
+    # the certificate at a_star, stop short; the other 10 reach a basis
+    # vertex in time and converge there.  Each of the 15 Newton corrector
+    # solves of the mixed branch, its seed at a = 1/2 included, converges,
+    # since _MAX_ITERATIONS bounds only L-BFGS.
     monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 10)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["47 of 74 restarts did not converge"]
+    assert report["warnings"] == ["30 of 55 restarts did not converge"]
 
-    # A corrector solve that stops short is counted too.
+    # A corrector solve that stops short is counted too: here the first
+    # side solve, the one after the seed.
     calls = []
 
-    def first_stops_short(x, a):
+    def first_side_stops_short(x, a):
         x, gap, converged = _continue_mixed_branch(x, a)
         calls.append(a)
-        return x, gap, converged and len(calls) > 1
+        return x, gap, converged and len(calls) != 2
 
-    monkeypatch.setattr("qshare.optimize._continue_mixed_branch", first_stops_short)
+    monkeypatch.setattr("qshare.optimize._continue_mixed_branch", first_side_stops_short)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     assert code == 1
-    assert json.loads(out)["warnings"] == ["48 of 74 restarts did not converge"]
+    assert json.loads(out)["warnings"] == ["31 of 55 restarts did not converge"]
 
 
 @pytest.mark.parametrize("restarts", [10, 200])
-def test_table_seeds_with_at_most_20_restarts(capsys, monkeypatch, restarts):
-    # The seed solve at a = 1/2 only has to reach the mixed branch; the
-    # certificate solve at a_star keeps the full budget.
+def test_table_makes_one_multistart_solve(capsys, monkeypatch, restarts):
+    # The trace starts from a stored direction corrected at a = 1/2, so the
+    # only multistart solve is the certificate at a_star, with the full budget.
     solve = qshare.optimize.min_span_entanglement
     solved = []
 
@@ -428,28 +429,46 @@ def test_table_seeds_with_at_most_20_restarts(capsys, monkeypatch, restarts):
     report = json.loads(out)
     assert code == 0
     assert report["inputs"] == {"restarts": restarts, "seed": 0}
-    assert solved == [
-        (0.5, OptimizationConfig(restarts=min(restarts, 20), seed=0)),
-        (report["results"]["a_star"], OptimizationConfig(restarts=restarts, seed=0)),
-    ]
+    assert solved == [(report["results"]["a_star"], OptimizationConfig(restarts=restarts, seed=0))]
+
+
+@pytest.mark.parametrize("seed", [2, 7, 8])
+def test_table_finds_the_crossing_with_one_restart(capsys, seed):
+    # One restart at a_star is enough: no multistart solve has to find the
+    # mixed branch.
+    code, out = run_cli(capsys, ["table", "--format", "json", "--restarts", "1", "--seed", str(seed)])
+    assert code == 0
+    assert abs(json.loads(out)["results"]["a_star"] - 0.46099840856814) <= 1e-12
+
+
+@pytest.mark.parametrize("gap, converged", [(-0.0067, False), (0.0, True)])
+def test_failed_seed_solve_exits_2(capsys, monkeypatch, gap, converged):
+    monkeypatch.setattr("qshare.optimize._continue_mixed_branch", lambda x, a: (x, gap, converged))
+    code = main(["table", "--format", "json", *TABLE_ARGS])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: no mixed-branch point at a=0.5")
 
 
 def test_non_converging_corrector_exits_1(capsys, monkeypatch):
-    # Every Newton corrector solve stopping at its iteration cap is a
-    # warning, not an error: the scan still reports its crossing.
+    # Every side solve of the Newton corrector stopping at its iteration cap
+    # is a warning, not an error: the scan still reports its crossing.  (The
+    # seed solve at a = 1/2 must converge; see test_failed_seed_solve_exits_2.)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     assert code == 0
     reference = json.loads(out)["results"]["a_star"]
+    calls = []
 
     def never_converges(x, a):
-        x, gap, _ = _continue_mixed_branch(x, a)
-        return x, gap, False
+        x, gap, converged = _continue_mixed_branch(x, a)
+        calls.append(a)
+        return x, gap, converged and len(calls) == 1
 
     monkeypatch.setattr("qshare.optimize._continue_mixed_branch", never_converges)
     code, out = run_cli(capsys, ["table", "--format", "json", *TABLE_ARGS])
     report = json.loads(out)
     assert code == 1
-    assert report["warnings"] == ["14 of 74 restarts did not converge"]
+    assert report["warnings"] == ["14 of 55 restarts did not converge"]
     assert report["results"]["a_star"] == reference
 
 
@@ -458,7 +477,7 @@ def test_crossing_without_a_root_exits_1(capsys, gapless_branch):
     # a warning, which the text report prints last.
     code, out = run_cli(capsys, ["table", *TABLE_ARGS])
     assert code == 1
-    assert out.splitlines()[-1] == "warning: 2 of 114 restarts did not converge"
+    assert out.splitlines()[-1] == "warning: 2 of 95 restarts did not converge"
     assert "a_star = 0.0000" in out
 
 

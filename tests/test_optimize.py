@@ -13,6 +13,7 @@ from qshare.optimize import (
     PAIR_DIMS,
     _CROSSING_TOLERANCE,
     _MAX_ITERATIONS,
+    _MIXED_SEED,
     _STEP_TOLERANCE,
     _TRACE_STEP,
     _VALUE_TOLERANCE,
@@ -626,7 +627,8 @@ class TestNontrivialMinimizer:
     def test_flag_does_not_depend_on_the_tie_window(self, monkeypatch, restarts):
         # _finish caps every usable restart at V(a) and puts every vertex
         # restart exactly there, so "some restart within _WITNESS_TIE of the
-        # best is off a vertex" and the same within 1e-6 agree.
+        # best is off a vertex" agrees with the same within 1e-6 and within
+        # any distance.
         finished = []
 
         def recorded(objective, x):
@@ -643,7 +645,7 @@ class TestNontrivialMinimizer:
                 values, off = result.restart_values, ~objective.at_vertex(coeffs)
                 assert np.all(values <= objective.vertex_value)
                 assert np.all(values[~off] == objective.vertex_value)
-                for window in (_WITNESS_TIE, 1e-6):
+                for window in (_WITNESS_TIE, 1e-6, np.inf):
                     assert result.nontrivial_minimizer == np.any((values <= values.min() + window) & off), (a, seed)
                 flags.append(result.nontrivial_minimizer)
         assert 0 < sum(flags) < len(flags)
@@ -805,8 +807,21 @@ class TestMaximizePairEof:
         assert abs(scan.e_star - 1.9944) <= 5e-4
 
     def test_crossing_does_not_depend_on_the_seed(self):
-        a_stars = [fast_scan(seed).a_star for seed in SCAN_SEEDS]
-        assert max(a_stars) - min(a_stars) <= 2e-14
+        # The trace starts from the stored _MIXED_SEED, not from a seeded
+        # multistart solve, so the seed reaches only the certificate.
+        peaks = {(fast_scan(seed).a_star, fast_scan(seed).e_star) for seed in SCAN_SEEDS}
+        assert len(peaks) == 1
+
+    def test_stored_seed_corrects_onto_the_global_mixed_minimum(self):
+        # Newton from _MIXED_SEED at a = 1/2 converges below V(1/2), onto the
+        # value a 200-restart multistart solve finds there: the stored
+        # direction lies in the basin of the global mixed minimum.
+        x, gap, converged = _continue_mixed_branch(_MIXED_SEED, 0.5)
+        assert converged and gap < 0.0
+        assert np.max(x**2) <= _VERTEX_WEIGHT
+        for seed in (0, 1, 2):
+            result = min_span_entanglement(0.5, OptimizationConfig(restarts=200, seed=seed))
+            assert abs(result.value - (vertex_value(0.5) + gap)) <= 1e-10, seed
 
     def test_scan_certifies_the_crossing(self, monkeypatch):
         solved = []
@@ -817,9 +832,9 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize.min_span_entanglement", counted)
         scans = [maximize_pair_eof(OptimizationConfig(restarts=40, seed=seed)) for seed in (0, 11)]
-        # Two multistart solves per scan: the seed of the mixed branch at
-        # a = 1/2, then the certificate at a_star.
-        assert solved == [0.5, scans[0].a_star, 0.5, scans[1].a_star]
+        # One multistart solve per scan, the certificate at a_star; the trace
+        # starts from the corrector's seed at a = 1/2.
+        assert solved == [scans[0].a_star, scans[1].a_star]
         for scan in scans:
             assert scan.scan_trace[0][0] == 0.5
             a, value = scan.scan_trace[-1]
@@ -829,10 +844,10 @@ class TestMaximizePairEof:
             assert abs(scan.e_star - 1.9943982236727) <= 1e-12
 
     def test_both_crossings_are_solved_and_the_larger_wins(self, monkeypatch):
-        # Each side steps from a = 1/2 by secant steps on g = M - V, clipped
-        # to _TRACE_STEP, until a step is at most _CROSSING_TOLERANCE.  The
-        # lower root (a = 0.46100) has the larger V; the upper one
-        # (a = 0.53914, 5.5e-4 lower) loses.
+        # The seed is corrected at a = 1/2; each side then steps from it by
+        # secant steps on g = M - V, clipped to _TRACE_STEP, until a step is
+        # at most _CROSSING_TOLERANCE.  The lower root (a = 0.46100) has the
+        # larger V; the upper one (a = 0.53914, 5.5e-4 lower) loses.
         calls = []
 
         def recorded(x, a):
@@ -842,10 +857,12 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=11))
+        seed, *calls = calls
+        assert seed[0] == 0.5 and seed[1] < 0.0
         assert len(calls) == 14
         roots = []
         for upper in (False, True):
-            side = [(0.5, None)] + [call for call in calls if (call[0] > 0.5) == upper]
+            side = [seed] + [call for call in calls if (call[0] > 0.5) == upper]
             steps = np.abs(np.diff([a for a, _ in side]))
             assert steps[0] == pytest.approx(_TRACE_STEP, abs=1e-15)
             assert np.all(steps <= _TRACE_STEP + 1e-15)
@@ -866,9 +883,10 @@ class TestMaximizePairEof:
         assert scan.failed_restarts == 0
 
     def test_trace_cost_is_pinned(self, monkeypatch):
-        # A 40-restart scan at seed 0 makes 14 corrector solves (per side two
-        # full steps and five secant steps) of 47 Newton iterations, plus
-        # one tangent Hessian at a_star; each Hessian takes one eigh.
+        # A 40-restart scan at seed 0 makes 15 corrector solves (the seed at
+        # a = 1/2 in 6 Newton iterations, then per side two full steps and
+        # five secant steps in 47) plus one tangent Hessian at a_star; each
+        # Hessian takes one eigh.
         counts = dict(solves=0, hessians=0, eigh=0)
 
         def counted(name, function):
@@ -886,8 +904,8 @@ class TestMaximizePairEof:
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", counted("solves", _continue_mixed_branch))
         monkeypatch.setattr("qshare.optimize._tangent_hessian", hessian)
         scan = maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
-        assert counts == dict(solves=14, hessians=48, eigh=48)
-        assert scan.restarts == 20 + 40 + 14
+        assert counts == dict(solves=15, hessians=54, eigh=54)
+        assert scan.restarts == 40 + 15
 
     def test_upper_crossing_wins_on_a_synthetic_branch(self, monkeypatch):
         # A synthetic mixed branch with g = 10 (a - 0.4587)(a - 0.5391): its
@@ -905,11 +923,8 @@ class TestMaximizePairEof:
             return x, gap(a), True
 
         def certified(a, config):
-            # The seed solve lies on the synthetic branch; the certificate
-            # solve at a_star ends on a basis vertex, at V(a_star).
+            # The certificate solve at a_star ends on a basis vertex, at V(a_star).
             result = min_span_entanglement(a, config)
-            if a == 0.5:
-                return dataclasses.replace(result, value=vertex_value(a) + gap(a))
             return dataclasses.replace(result, value=vertex_value(a), argmin=np.eye(7)[0])
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", synthetic)
@@ -961,7 +976,7 @@ class TestMaximizePairEof:
 
         monkeypatch.setattr("qshare.optimize._continue_mixed_branch", recorded)
         maximize_pair_eof(FAST)
-        assert len(continued) == 14
+        assert len(continued) == 15 and continued[0][0] == 0.5
         states = [ResidueFamily.from_a(a).span_state(c) for a, c in continued]
         assert min(schmidt_spectrum(s, PAIR_DIMS, PAIR_CUT)[-1] for s in states) >= 1e6 * SPECTRUM_CLIP
 
@@ -1045,49 +1060,38 @@ class TestMaximizePairEof:
         assert scan.a_star == 0.0 and scan.e_star == vertex_value(0.0)
 
     def test_singular_hessian_is_counted_not_raised(self, monkeypatch):
+        # The first side solve, the one after the seed, meets a singular
+        # Newton system at its first iteration.
         calls = []
 
-        def singular_first(matrix, rhs):
-            calls.append(matrix)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(matrix, rhs)
+        def singular(matrix, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        solve = np.linalg.solve
+        def singular_first_side(x, a):
+            calls.append(a)
+            with monkeypatch.context() as patch:
+                if len(calls) == 2:
+                    patch.setattr(np.linalg, "solve", singular)
+                return _continue_mixed_branch(x, a)
+
         reference = fast_scan(0)
-        monkeypatch.setattr(np.linalg, "solve", singular_first)
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", singular_first_side)
         scan = maximize_pair_eof(FAST)
         assert scan.failed_restarts == reference.failed_restarts + 1
         assert scan.restarts == reference.restarts
         assert scan.a_star == pytest.approx(reference.a_star, abs=1e-13)
 
-    def test_rejects_a_vertex_seed(self, monkeypatch):
-        # A solve at a = 1/2 that ends on a basis vertex gives no mixed branch
-        # to trace.
-        def on_vertex(a, config):
-            result = min_span_entanglement(a, config)
-            if a != 0.5:
-                return result
-            return dataclasses.replace(result, value=vertex_value(a), argmin=np.eye(7)[0], nontrivial_minimizer=False)
+    @pytest.mark.parametrize("gap, converged", [(-0.0067, False), (0.0, True), (0.01, True)])
+    def test_rejects_a_seed_off_the_mixed_branch(self, monkeypatch, gap, converged):
+        # A corrector solve at a = 1/2 that does not converge, or that ends at
+        # or above V(1/2), gives no mixed branch to trace.
+        def failed_seed(x, a):
+            assert a == 0.5, "traced from a failed seed"
+            return x, gap, converged
 
-        monkeypatch.setattr("qshare.optimize.min_span_entanglement", on_vertex)
-        with pytest.raises(RuntimeError, match="no mixed-branch minimizer"):
+        monkeypatch.setattr("qshare.optimize._continue_mixed_branch", failed_seed)
+        with pytest.raises(RuntimeError, match="no mixed-branch point at a=0.5"):
             maximize_pair_eof(FAST)
-
-    def test_rejects_a_seed_witness_on_a_vertex(self, monkeypatch):
-        # The guard reads the witness the trace starts from, not the
-        # near-best flag: a vertex witness is refused even while another
-        # near-best restart ended off-vertex.
-        def vertex_witness(a, config):
-            result = min_span_entanglement(a, config)
-            if a != 0.5:
-                return result
-            assert result.nontrivial_minimizer
-            return dataclasses.replace(result, argmin=np.eye(7)[0])
-
-        monkeypatch.setattr("qshare.optimize.min_span_entanglement", vertex_witness)
-        with pytest.raises(RuntimeError, match="no mixed-branch minimizer"):
-            maximize_pair_eof(OptimizationConfig(restarts=40, seed=0))
 
     def test_rejects_a_traced_value_above_the_peak(self, monkeypatch):
         # The same roots, but a branch that lies far closer below V.
