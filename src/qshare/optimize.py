@@ -50,16 +50,18 @@ _TRACE_STEP = 0.02
 # Newton corrector iteration cap and crossing tolerance in a.
 _NEWTON_ITERATIONS = 10
 _CROSSING_TOLERANCE = 1e-13
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) advances its state by this odd constant, 2**64 / golden ratio.
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Multistart settings.
 
-    Restart i starts from a random real unit 7-vector drawn from its own
-    stream, ``np.random.default_rng([seed, i])``: a start depends on neither
-    ``restarts`` nor the other restarts, and different seeds share no start.
-    Each restart stops by the fixed rule of :func:`_lbfgs`.
+    Restart i starts from a random real unit 7-vector made from SplitMix64
+    outputs of its own, which no numpy release changes (:func:`_starts`): it
+    depends on neither ``restarts`` nor the other restarts, and no two seeds
+    share a start.  Each restart stops by :func:`_lbfgs`'s fixed rule.
     """
 
     restarts: int = 200
@@ -74,13 +76,14 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best local minimum found over all restarts.
 
-    The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11)
-    of the smallest entry of ``restart_values``: ``restart_index``, and its
-    own ``value``, ``iterations_used`` and ``argmin``, a real unit 7-vector
-    gauged by :func:`gauge_fix`.  No entry exceeds the closed-form value of a
-    basis vertex: a restart that ends above it, or whose largest squared
-    coefficient exceeds 0.99 (it has reached a vertex), is replaced by its
-    nearest vertex at exactly that value.
+    The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11) of
+    the smallest entry of ``restart_values``: ``restart_index``, and its own
+    ``value``, ``iterations_used`` and ``argmin``, a real unit 7-vector gauged
+    by :func:`gauge_fix` and, off a vertex, polished by :func:`_newton` if it
+    converges.  No entry exceeds the closed-form value of a basis vertex: a
+    restart that ends above it, or whose largest squared coefficient exceeds
+    0.99 (it has reached a vertex), is replaced by its nearest vertex at
+    exactly that value.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
     ``nontrivial_minimizer`` records whether any usable restart ended away
@@ -277,9 +280,26 @@ def _lbfgs(objective: _SpanObjective, x0):
     return x, iterations, converged
 
 
+def _mix(z):
+    """SplitMix64's output function on each entry of the uint64 array ``z``, wrapping mod 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
 def _starts(config: OptimizationConfig):
-    """Unit starting points (restarts, 7); row i draws 7 normals from stream [seed, i]."""
-    x0 = np.array([np.random.default_rng([config.seed, i]).standard_normal(MODULUS) for i in range(config.restarts)])
+    """Unit starting points (restarts, 7): row i is the first 7 of 8 normals from SplitMix64 outputs 8i ... 8i + 7.
+
+    The generator's key mixes in every 64-bit word of the seed, lowest first.  Each output z gives the uniform
+    ((z >> 11) + 0.5) / 2**53 in (0, 1], and Box-Muller turns the row's four pairs into 8 normals.
+    """
+    seed, key = int(config.seed), np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix(key ^ ((seed >> shift) & 0xFFFFFFFFFFFFFFFF))
+    z = _mix(key + np.arange(1, 8 * config.restarts + 1, dtype=np.uint64) * _GOLDEN_GAMMA)
+    u = (((z >> 11) + 0.5) / 2.0**53).reshape(config.restarts, 2, 4)
+    radius, angle = np.sqrt(-2.0 * np.log(u[:, 0])), 2.0 * np.pi * u[:, 1]
+    x0 = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :MODULUS]
     return x0 / np.linalg.norm(x0, axis=1, keepdims=True)
 
 
@@ -335,9 +355,13 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     # lowest restart is off a vertex, or every usable restart ties at V(a).
     tied = restart_values <= lowest + _WITNESS_TIE
     best = int(np.argmax(tied))
+    argmin = coeffs[best]  # an L-BFGS end off a vertex carries its stopping tolerance: Newton settles it
+    if not objective.at_vertex(argmin[None])[0]:
+        polished, _, polished_ok = _newton(objective, argmin)
+        argmin = gauge_fix(polished) if polished_ok else argmin
     return OptimizationResult(
         value=float(restart_values[best]),
-        argmin=coeffs[best],
+        argmin=argmin,
         restart_index=best,
         iterations_used=int(iterations[best]),
         restart_values=restart_values,
@@ -402,16 +426,15 @@ def _tangent_hessian(objective: _SpanObjective, x):
     return f, tangent @ grad, (2 * (logarithmic @ logarithmic.T) - spectral @ spectral.T) / np.log(2) - 2 * f * tangent
 
 
-def _continue_mixed_branch(x, a):
-    """Mixed-branch point at ``a`` by Riemannian Newton from ``x``: (x, g(a), converged).
+def _newton(objective: _SpanObjective, x):
+    """Riemannian Newton from the unit point ``x``: (x, f, converged).
 
     Each iteration solves (P H P + x x^T) s = -P g and retracts x + s onto the
     sphere, until |s| <= ``_STEP_TOLERANCE``; a singular system or the
     iteration cap fails the solve.  The returned x is the last point
-    evaluated, and g = M - V there.
+    evaluated, and f the value there.
     """
     converged = False
-    objective = _SpanObjective(ResidueFamily.from_a(a))
     for iteration in range(_NEWTON_ITERATIONS):
         f, grad, hessian = _tangent_hessian(objective, x)
         try:
@@ -421,7 +444,14 @@ def _continue_mixed_branch(x, a):
         if (converged := np.linalg.norm(step) <= _STEP_TOLERANCE) or iteration == _NEWTON_ITERATIONS - 1:
             break
         x = (x + step) / np.linalg.norm(x + step)
-    return x, float(f) - objective.vertex_value, bool(converged)
+    return x, float(f), bool(converged)
+
+
+def _continue_mixed_branch(x, a):
+    """Mixed-branch point at ``a`` by :func:`_newton` from ``x``: (x, g(a), converged), g = M - V at x."""
+    objective = _SpanObjective(ResidueFamily.from_a(a))
+    x, f, converged = _newton(objective, x)
+    return x, f - objective.vertex_value, converged
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:

@@ -303,6 +303,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_solves_leave_numpy_random_unloaded():
+    # The restarts come from the optimizer's own generator; loading numpy.random
+    # would cost a table process about 11 ms and 5.6 MB of peak memory.
+    code = (
+        "import json, sys, numpy, qshare.cli\n"
+        "preloaded = 'numpy.random' in sys.modules\n"
+        "codes = [qshare.cli.main([name, '--restarts', '2', '--format', 'json']) for name in ('table', 'family')]\n"
+        "sys.stderr.write(json.dumps([preloaded, codes, 'numpy.random' in sys.modules]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    preloaded, codes, loaded = json.loads(out.stderr)
+    if preloaded:
+        pytest.skip("this numpy release imports numpy.random with numpy itself")
+    assert (codes, loaded) == ([0, 0], False)
+
+
 def test_closed_stdout_is_not_an_error():
     # The read end is closed before the child starts, so its report write fails with EPIPE.
     read_end, write_end = os.pipe()
