@@ -282,7 +282,7 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
             dev = max(dev, result.value - span_entanglement(_random_state(rng, MODULUS), a))
         witness_dev = max(witness_dev, abs(span_entanglement(result.argmin, a) - result.value))
     out.append(_result("minimum lower-bounds sampled span states", max(dev, 0.0), 1e-8))
-    out.append(_result("argmin reproduces the reported value", witness_dev, 1e-10))
+    out.append(_result("argmin reproduces the reported value", witness_dev, 1e-12))
 
     # Same seed, same restart values; a batch of k restarts equals the first
     # k rows of a batch of R, so no restart depends on the others.

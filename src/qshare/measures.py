@@ -211,5 +211,14 @@ class Decomposition:
         return self.weights.size
 
     def mixture(self) -> np.ndarray:
-        """Density matrix sum_j w_j |phi_j><phi_j| realized by the elements."""
-        return (self.states.T * self.weights) @ self.states.conj()
+        """Density matrix sum_j w_j |phi_j><phi_j| realized by the elements.
+
+        With R, I the real and imaginary parts of the state rows and W = diag(w), the real part is
+        R^T W R + I^T W I and the imaginary part P - P^T with P = I^T W R, exactly antisymmetric.  Real
+        products of a 49-element orbit stay below OpenBLAS's threading threshold, where one complex
+        product would wake its helper threads for every call.
+        """
+        real, imag = self.states.real, self.states.imag
+        weighted_real, weighted_imag = real.T * self.weights, imag.T * self.weights
+        cross = weighted_imag @ real
+        return (weighted_real @ real + weighted_imag @ imag) + 1j * (cross - cross.T)

@@ -78,9 +78,11 @@ class OptimizationResult:
 
     The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11) of
     the smallest entry of ``restart_values``: ``restart_index``, and its own
-    ``value``, ``iterations_used`` and ``argmin``, a real unit 7-vector gauged
-    by :func:`gauge_fix` and, off a vertex, polished by :func:`_newton` if it
-    converges.  No entry exceeds the closed-form value of a basis vertex: a
+    ``iterations_used``, ``argmin`` and ``value``.  ``argmin`` is a real unit
+    7-vector gauged by :func:`gauge_fix`; off a vertex, when :func:`_newton`
+    converges from it, it is the polished point and ``value`` the entanglement
+    there, else the restart's end and its entry of ``restart_values``, which
+    stay the raw values.  No entry exceeds the closed-form value of a basis vertex: a
     restart that ends above it, or whose largest squared coefficient exceeds
     0.99 (it has reached a vertex), is replaced by its nearest vertex at
     exactly that value.
@@ -355,12 +357,14 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     # lowest restart is off a vertex, or every usable restart ties at V(a).
     tied = restart_values <= lowest + _WITNESS_TIE
     best = int(np.argmax(tied))
-    argmin = coeffs[best]  # an L-BFGS end off a vertex carries its stopping tolerance: Newton settles it
+    argmin, value = coeffs[best], float(restart_values[best])
+    # An L-BFGS end off a vertex carries its stopping tolerance: Newton settles the point and its value.
     if not objective.at_vertex(argmin[None])[0]:
-        polished, _, polished_ok = _newton(objective, argmin)
-        argmin = gauge_fix(polished) if polished_ok else argmin
+        polished, polished_value, polished_ok = _newton(objective, argmin)
+        if polished_ok:
+            argmin, value = gauge_fix(polished), polished_value
     return OptimizationResult(
-        value=float(restart_values[best]),
+        value=value,
         argmin=argmin,
         restart_index=best,
         iterations_used=int(iterations[best]),
@@ -384,13 +388,13 @@ def orbit_certificate(result: OptimizationResult, a) -> tuple[float, float]:
     reconstruction residual (largest entry deviation of the orbit mixture
     from the marginal) and the gap between the orbit average and the value.
     Raises ``RuntimeError`` unless the residual is below 1e-10 and the gap at
-    most 1e-8.
+    most 1e-12.
     """
     family = ResidueFamily.from_a(a)
     decomposition = orbit_decomposition(result.argmin, family)
     reconstruction = float(np.max(np.abs(decomposition.mixture() - family.pair_density())))
     average_gap = abs(average_entanglement(decomposition, PAIR_DIMS, PAIR_CUT) - result.value)
-    if not (reconstruction < 1e-10 and average_gap <= 1e-8):
+    if not (reconstruction < 1e-10 and average_gap <= 1e-12):
         raise RuntimeError(
             f"orbit certificate failed at a={a}: reconstruction {reconstruction!r}, average gap {average_gap!r}"
         )

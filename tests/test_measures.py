@@ -319,13 +319,17 @@ class TestDecomposition:
         expected = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, states))
         assert np.max(np.abs(dec.mixture() - expected)) < 1e-12
 
-    def test_mixture_matches_the_einsum_form_on_49_elements(self):
+    def test_mixture_of_49_complex_states(self):
+        # The size of a symmetry orbit, with unequal weights.  The imaginary
+        # part is one real product minus its transpose: antisymmetric to the bit.
         rng = np.random.default_rng(49)
         states = np.stack([random_state(rng, 49) for _ in range(49)])
         weights = rng.uniform(0.5, 1.5, 49)
         dec = Decomposition(weights=weights / weights.sum(), states=states)
-        expected = np.einsum("j,ja,jb->ab", dec.weights, dec.states, dec.states.conj())
-        assert np.max(np.abs(dec.mixture() - expected)) < 1e-15
+        mixture = dec.mixture()
+        expected = sum(w * np.outer(s, s.conj()) for w, s in zip(dec.weights, dec.states))
+        assert np.max(np.abs(mixture - expected)) < 1e-15
+        assert np.array_equal(mixture.imag, -mixture.imag.T)
 
     def test_average_entanglement_upper_bounds_eof(self):
         # Uniform mixture of the pair basis: average entanglement of any
