@@ -40,22 +40,43 @@ PSD_TOLERANCE = 1e-10
 # matrix's trace before the checks below reject it.
 _ROUND_OFF = 1e-10
 
+# Bytes of entries per row block: a block-sized temporary stays below glibc's
+# default 128 KiB mmap threshold, so it is never mapped and never moves it.
+_BLOCK_BYTES = 120 << 10
+
 
 def _as_square_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+    if not arr.size:
+        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
     return arr
 
 
-def _check_hermitian(m, name):
-    """Reject ``m`` unless max |m - m^dagger| is at most ``_ROUND_OFF`` (for real ``m``, m^dagger = m^T)."""
-    diff = m - m.conj().T
-    dev = float(np.max(np.abs(diff, out=diff).real))  # in place: one temporary
-    if dev > _ROUND_OFF:
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
+def row_blocks(m):
+    """(start, stop) of the row blocks of square ``m``: ``_BLOCK_BYTES`` of entries each, at least one row."""
+    step = max(1, _BLOCK_BYTES // (len(m) * m.itemsize))
+    return [(start, min(start + step, len(m))) for start in range(0, len(m), step)]
+
+
+def _scan(m, name):
+    """Max |m - m^dagger| and the Gershgorin bound min_i (m_ii - sum_{j != i} |m_ij|), by row blocks.
+
+    ``ValueError`` naming ``name`` at a non-finite entry, sought where a row sum is not finite.  The lower
+    triangle holds the maximum of the symmetric |m_ij - conj(m_ji)| and reads only rows already tested.
+    """
+    dev, bound = 0.0, math.inf
+    for start, stop in row_blocks(m):
+        rows = m[start:stop]
+        magnitudes = np.abs(rows)
+        sums = magnitudes.sum(axis=1)
+        if not np.isfinite(sums).all() and not np.isfinite(rows).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        bound = min(bound, (rows[:, start:stop].diagonal().real - (sums - magnitudes[:, start:stop].diagonal())).min())
+        diff = rows[:, :stop] - m[:stop, start:stop].conj().T
+        dev = max(dev, np.abs(diff, out=diff).real.max())  # in place: one temporary
+    return float(dev), float(bound)
 
 
 def _subsystems(keep, n, name="keep"):
@@ -126,15 +147,15 @@ def check_density_matrix(rho, dim=None):
     float otherwise.
     """
     rho = _as_square_matrix(rho, "rho")
+    dev, bound = _scan(rho, "rho")
     if dim is not None and rho.shape[0] != check_integer(dim, "dim", 1):
         raise ValueError(f"rho must be {dim} x {dim}, got shape {rho.shape}")
-    _check_hermitian(rho, "rho")
-    trace_dev = abs(np.trace(rho) - 1.0)
+    if dev > _ROUND_OFF:
+        raise ValueError(f"rho is not Hermitian: max deviation {dev:.3e}")
+    trace_dev = abs(rho.trace() - 1.0)
     if trace_dev > _ROUND_OFF:
         raise ValueError(f"rho does not have unit trace: deviation {trace_dev:.3e}")
-    magnitudes = np.abs(rho)
-    radii = magnitudes.sum(axis=1) - magnitudes.diagonal()
-    if np.min(rho.diagonal().real - radii) >= -PSD_TOLERANCE / 2:
+    if bound >= -PSD_TOLERANCE / 2:
         return rho
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if lowest < -PSD_TOLERANCE:
@@ -145,12 +166,13 @@ def check_density_matrix(rho, dim=None):
 def swap_operator(d):
     """Pair-exchange operator F = sum_ij |ij><ji| on two d-level systems.
 
-    F is real symmetric, F @ F = I, and trace(F) = d.  Its memory map is its
-    own and goes back to the system with F, so no freed F stays in the heap.
+    F is real symmetric, F @ F = I, and trace(F) = d.  Its own memory map, populated in
+    one call where mmap has MAP_POPULATE, goes back to the system with F, not to the heap.
     """
     d = check_integer(d, "d", 1)
     try:
-        f = np.frombuffer(mmap.mmap(-1, size := d**4 * np.dtype(float).itemsize)).reshape(d * d, d * d)
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        f = np.frombuffer(mmap.mmap(-1, size := d**4 * np.dtype(float).itemsize, flags=flags)).reshape(d * d, d * d)
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"cannot map the swap operator for d={d}: {size} bytes ({exc})") from exc
     rows = np.arange(d * d)
@@ -164,6 +186,7 @@ def partial_trace(rho, dims, keep):
     Kept subsystems stay in ascending index order; the trace is preserved.
     """
     rho = _as_square_matrix(rho, "rho")
+    _scan(rho, "rho")  # rejects non-finite entries
     dims = _check_dims(dims)
     total = math.prod(dims)
     if rho.shape[0] != total:
@@ -207,7 +230,8 @@ def hermitian_eigensystem(h):
     output satisfies H = V diag(w) V^dagger to the solver's accuracy.
     """
     h = _as_square_matrix(h, "H")
-    _check_hermitian(h, "matrix")
+    if (dev := _scan(h, "H")[0]) > _ROUND_OFF:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].copy()
 

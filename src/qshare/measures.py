@@ -18,6 +18,7 @@ from .linalg import (
     check_density_matrix,
     check_integer,
     check_pure_state,
+    row_blocks,
     schmidt_spectrum,
     swap_operator,
 )
@@ -160,11 +161,11 @@ def werner_fit(rho, d):
     den = float(d * d) * float(d * d - 1)
     a_w = (d * d * t_id - d * t_sw) / den
     b_w = (d * d * t_sw - d * t_id) / den
-    misfit = swap_operator(d).astype(rho.dtype, copy=False)  # rho - a_w I - b_w F, in one buffer
-    misfit *= -b_w
-    misfit += rho
-    misfit.flat[:: d * d + 1] -= a_w
-    residual = float(np.max(np.abs(misfit, out=misfit).real))
+    swap, residual = swap_operator(d), 0.0
+    for start, stop in row_blocks(rho):  # rho - a_w I - b_w F, one row block at a time
+        misfit = rho[start:stop] - b_w * swap[start:stop]
+        misfit.flat[start :: d * d + 1] -= a_w
+        residual = max(residual, float(np.max(np.abs(misfit, out=misfit).real)))
     if residual > WERNER_TOLERANCE:
         return None
     return WernerParams(a_w=a_w, b_w=b_w, d=d, residual=residual)

@@ -13,6 +13,7 @@ import pytest
 from qshare.linalg import (
     check_density_matrix,
     check_pure_state,
+    hermitian_eigensystem,
     partial_trace,
     reduced_density_matrix,
     schmidt_spectrum,
@@ -93,3 +94,18 @@ def test_negative_zero_weight_is_stored_as_zero():
     family = ResidueFamily.from_a(-0.0)
     assert math.copysign(1.0, family.a) == 1.0
     assert family.pair_basis().tobytes() == ResidueFamily.from_a(0.0).pair_basis().tobytes()
+
+
+@pytest.mark.parametrize(
+    ("name", "call"),
+    [
+        ("rho", check_density_matrix),
+        ("H", hermitian_eigensystem),
+        ("rho", lambda m: partial_trace(m, (1,), (0,))),
+    ],
+    ids=["check_density_matrix", "hermitian_eigensystem", "partial_trace"],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_empty_matrix_is_refused_by_name(name, call, dtype):
+    with pytest.raises(ValueError, match=rf"^{name} must be non-empty, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0), dtype))

@@ -432,7 +432,7 @@ def test_werner_fit_failure_exits_2(capsys, monkeypatch):
 def test_allocation_failure_exits_2(capsys, monkeypatch):
     # The refusal is simulated: a real d large enough to be refused could
     # exhaust the machine's memory before the system says no.
-    def refuse(fileno, length):
+    def refuse(fileno, length, flags):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
     monkeypatch.setattr("qshare.linalg.mmap.mmap", refuse)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qshare import linalg
 from qshare.linalg import (
     PSD_TOLERANCE,
     check_density_matrix,
@@ -11,6 +12,7 @@ from qshare.linalg import (
     hermitian_eigensystem,
     partial_trace,
     reduced_density_matrix,
+    row_blocks,
     schmidt_spectrum,
     swap_operator,
 )
@@ -330,6 +332,76 @@ def test_density_check_bound_accepts_only_at_half_the_tolerance(diagonalized):
         diagonalized.clear()
 
 
+def dense_scan(m):
+    """The unblocked formulas: max |m - m^dagger| and the Gershgorin bound min_i (m_ii - sum_{j != i} |m_ij|)."""
+    diff = m - m.conj().T
+    magnitudes = np.abs(m)
+    radii = magnitudes.sum(axis=1) - magnitudes.diagonal()
+    return float(np.max(np.abs(diff).real)), float(np.min(m.diagonal().real - radii))
+
+
+def block_edge_sizes(dtype):
+    """The largest n in one row block, the largest in two, the next n (a third, short block), and 900."""
+    blocks = {n: row_blocks(np.empty((n, n), dtype)) for n in range(1, 300)}
+    one = max(n for n, b in blocks.items() if len(b) == 1)
+    two = max(n for n, b in blocks.items() if len(b) == 2)
+    assert len(blocks[two + 1]) == 3 and blocks[two + 1][-1][1] - blocks[two + 1][-1][0] < 3
+    return one, two, two + 1, 900
+
+
+def hermitian_density(rng, n, dtype, dominant):
+    """Random n x n PSD density matrix, Hermitian to round-off; ``dominant`` makes it diagonally dominant."""
+    z = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        z += 1j * rng.standard_normal((n, n))
+    m = 4.0 * n * np.eye(n) + z + z.conj().T if dominant else z @ z.conj().T + n * np.eye(n)
+    m = m + 1e-14 * rng.standard_normal((n, n))  # a round-off asymmetry for the deviation to measure
+    return m / np.trace(m).real
+
+
+BLOCK_EDGES = [(dtype, n) for dtype in (float, complex) for n in block_edge_sizes(dtype)]
+
+
+@pytest.mark.parametrize(("dtype", "n"), BLOCK_EDGES)
+def test_blocked_scan_equals_the_dense_formulas(dtype, n, diagonalized):
+    rng = np.random.default_rng(n)
+    for dominant in (True, False):
+        rho = hermitian_density(rng, n, dtype, dominant)
+        assert linalg._scan(rho, "rho") == dense_scan(rho)
+        assert check_density_matrix(rho, n) is rho
+    # Only the matrix the Gershgorin bound cannot certify is diagonalized.
+    assert diagonalized == [(n, n)]
+
+
+@pytest.mark.parametrize(("dtype", "n"), BLOCK_EDGES)
+def test_blocked_scan_finds_a_deviation_below_the_diagonal_in_the_last_block(dtype, n):
+    rho = hermitian_density(np.random.default_rng(n), n, dtype, dominant=True)
+    rho[n - 1, 0] += 3e-9
+    dev = dense_scan(rho)[0]
+    assert linalg._scan(rho, "rho")[0] == dev > 1e-10
+    with pytest.raises(ValueError, match=f"^rho is not Hermitian: max deviation {dev:.3e}$"):
+        check_density_matrix(rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(("dtype", "n"), BLOCK_EDGES)
+def test_non_finite_last_block_is_reported_before_an_asymmetric_first_block(dtype, n, bad):
+    rho = hermitian_density(np.random.default_rng(n), n, dtype, dominant=True)
+    rho[0, 1] += 1e-3
+    rho[n - 1, n - 1] = rho[n - 1, 0] = bad
+    # No arithmetic on the non-finite entries: under -W error a RuntimeWarning would fail this.
+    for check in (check_density_matrix, hermitian_eigensystem):
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            check(rho)
+
+
+def test_overflowing_row_sums_are_not_taken_for_non_finite_entries():
+    # Finite entries whose absolute row sums overflow pass the finiteness test
+    # and fail on their trace, as they did before the row blocks.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^rho does not have unit trace: deviation inf$"):
+        check_density_matrix(np.full((2, 2), 1e308))
+
+
 def test_swap_operators_are_writable_and_independent():
     # Each call maps a buffer of its own, which callers may scale in place.
     f, g = swap_operator(3), swap_operator(3)
@@ -343,7 +415,7 @@ def test_swap_operators_are_writable_and_independent():
 def test_refused_swap_map_raises_memory_error(monkeypatch, error):
     # A map the system refuses is a MemoryError naming d and the bytes asked
     # for; the refusal is simulated, so nothing large is ever mapped.
-    def refuse(fileno, length):
+    def refuse(fileno, length, flags):
         raise error
 
     monkeypatch.setattr("qshare.linalg.mmap.mmap", refuse)

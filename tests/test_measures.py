@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qshare.linalg import reduced_density_matrix, swap_operator
+from qshare.linalg import check_density_matrix, reduced_density_matrix, swap_operator
 from qshare.measures import (
     Decomposition,
     binary_entropy,
@@ -230,17 +231,32 @@ class TestWernerQuantities:
             )
 
     def test_fit_residual_matches_the_dense_misfit(self):
+        # The dense misfit rounds as rho - b_w F, then - a_w on the diagonal, as
+        # the blocked residual does, so the two agree to the bit.
         rng = np.random.default_rng(21)
-        for _ in range(20):
-            d = int(rng.integers(2, 8))
+        for d in [int(rng.integers(2, 8)) for _ in range(20)] + [12, 30]:
             b_w = float(rng.uniform(-1.0 / (d * (d - 1)), 1.0 / (d * (d + 1))))
             a_w = (1.0 - b_w * d) / (d * d)
-            identity, swap = np.identity(d * d), swap_operator(d)
-            rho = a_w * identity + b_w * swap
+            swap = swap_operator(d)
+            rho = a_w * np.identity(d * d) + b_w * swap
             fit = werner_fit(rho, d)
             assert fit is not None
-            dense = float(np.max(np.abs(rho - (fit.a_w * identity + fit.b_w * swap))))
-            assert fit.residual == pytest.approx(dense, rel=0.0, abs=1e-15)
+            dense = swap * -fit.b_w + rho
+            dense.flat[:: d * d + 1] -= fit.a_w
+            assert fit.residual == float(np.max(np.abs(dense)))
+
+    def test_dense_path_makes_no_matrix_sized_temporary(self):
+        # A 900 x 900 float matrix is 6.5 MB; the walks stay within small row blocks.
+        rho = singlet_pair_reduced(30)
+        for m in (rho, rho.astype(complex)):
+            for call in (check_density_matrix, lambda m: werner_fit(m, 30), lambda m: werner_eof(m, 30)):
+                tracemalloc.start()
+                try:
+                    call(m)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20, (m.dtype, peak)
 
     def test_complex_typed_input_gives_the_float_results(self):
         for d in (2, 3, 8):
