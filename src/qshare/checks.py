@@ -117,12 +117,12 @@ def measure_checks(rng) -> list[CheckResult]:
     out.append(CheckResult("concurrence curve is monotone", monotone, "1000-point grid"))
 
     # Werner-form E_f agrees with the qubit formula where both apply.
-    dev = 0.0
+    dev, swap = 0.0, swap_operator(2)
     for _ in range(100):
         c = float(rng.uniform(0.0, 1.0))
         a_w = (2.0 + c) / 6.0
         b_w = -(1.0 + 2.0 * c) / 6.0
-        rho = a_w * np.identity(4) + b_w * swap_operator(2)
+        rho = a_w * np.identity(4) + b_w * swap
         dev = max(dev, abs(werner_eof(rho, 2) - qubit_eof(rho)))
     out.append(_result("werner and qubit E_f agree for two qubits", dev, 1e-9))
 

@@ -228,6 +228,7 @@ def hermitian_eigensystem(h):
 
     Rejects matrices whose Hermitian deviation exceeds ``_ROUND_OFF``.  The
     output satisfies H = V diag(w) V^dagger to the solver's accuracy.
+    No caller in qshare: it stays only because ``perfbench/spans.py`` traces it, until ROADMAP item 1.
     """
     h = _as_square_matrix(h, "H")
     if (dev := _scan(h, "H")[0]) > _ROUND_OFF:

@@ -76,16 +76,17 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best local minimum found over all restarts.
 
+    ``restart_values`` are the values at the L-BFGS ends, +inf for a restart
+    that started non-finite.  None exceeds the closed-form value V(a) of a
+    basis vertex: a restart that ends above it, or whose largest squared
+    coefficient exceeds 0.99 (it has reached a vertex), reports exactly V(a).
     The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11) of
-    the smallest entry of ``restart_values``: ``restart_index``, and its own
-    ``iterations_used``, ``argmin`` and ``value``.  ``argmin`` is a real unit
-    7-vector gauged by :func:`gauge_fix`; off a vertex, when :func:`_newton`
-    converges from it, it is the polished point and ``value`` the entanglement
-    there, else the restart's end and its entry of ``restart_values``, which
-    stay the raw values.  No entry exceeds the closed-form value of a basis vertex: a
-    restart that ends above it, or whose largest squared coefficient exceeds
-    0.99 (it has reached a vertex), is replaced by its nearest vertex at
-    exactly that value.
+    the smallest entry: ``restart_index``, and its own ``iterations_used``,
+    ``argmin`` and ``value``.  ``argmin`` is a real unit 7-vector gauged by
+    :func:`gauge_fix`, the nearest vertex of a witness that reports V(a).  Off
+    a vertex, when :func:`_newton` converges from the normalized end, it is the
+    polished point and ``value`` the entanglement there, else that end and its
+    entry of ``restart_values``.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
     ``nontrivial_minimizer`` records whether any usable restart ended away
@@ -209,8 +210,9 @@ def _lbfgs(objective: _SpanObjective, x0):
     than that which lowers the value.  It also converges when an accepted
     point passes ``objective.at_vertex``: a basis vertex, whose value is
     known in closed form.  It fails when it reaches ``_MAX_ITERATIONS``
-    accepted steps first.  Returns the final points, the accepted steps per
-    row and which rows converged.
+    accepted steps first.  Returns the final points, the value at each (NaN
+    for a row whose start was not finite), the accepted steps per row and
+    which rows converged.
     """
     x = np.array(x0, dtype=float)
     count, dim = x.shape
@@ -279,7 +281,7 @@ def _lbfgs(objective: _SpanObjective, x0):
         step[held[fit]] = np.clip(-slope[held[fit]] * t[fit] ** 2 / (2.0 * rise[fit]), 0.1 * t[fit], 0.5 * t[fit])
         length = step[held] * np.linalg.norm(d[held], axis=1)
         stop(held[length <= _STEP_TOLERANCE * np.linalg.norm(x[held], axis=1)])
-    return x, iterations, converged
+    return x, f, iterations, converged
 
 
 def _mix(z):
@@ -305,30 +307,6 @@ def _starts(config: OptimizationConfig):
     return x0 / np.linalg.norm(x0, axis=1, keepdims=True)
 
 
-def _finish(objective: _SpanObjective, x):
-    """Unit coefficients (R, 7) and values (R,) at the restarts' final points.
-
-    Each row is normalized and its sign fixed by :func:`gauge_fix`.  A point
-    that cannot be normalized gets NaN coefficients and value +inf.
-    """
-    norms = np.linalg.norm(x, axis=1)
-    usable = np.isfinite(norms) & (norms >= 1e-9)
-    coeffs = np.full(x.shape, np.nan)
-    coeffs[usable] = x[usable] / norms[usable, None]
-    coeffs = gauge_fix(coeffs)
-    values = np.full(len(x), np.inf)
-    values[usable] = objective.value_and_grad(coeffs[usable])[0]
-    # Every basis vertex is feasible at the closed-form vertex value, so a
-    # restart that ends above it (in a worse local minimum) or on a vertex's
-    # cap (in a descent into a basis state) is replaced by its nearest
-    # vertex.  No solve then reports more than the vertex value.
-    peaks = np.argmax(np.abs(coeffs), axis=1)
-    snap = usable & ((values > objective.vertex_value) | objective.at_vertex(coeffs))
-    coeffs[snap] = np.eye(MODULUS)[peaks[snap]]
-    values[snap] = objective.vertex_value
-    return coeffs, values
-
-
 def span_entanglement(coeffs, a) -> float:
     """Pair-cut entanglement of the span state with the given coefficients."""
     return pure_entanglement(ResidueFamily.from_a(a).span_state(coeffs), PAIR_DIMS, PAIR_CUT)
@@ -346,20 +324,25 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     """
     config = config or OptimizationConfig()
     objective = _SpanObjective(ResidueFamily.from_a(a))
-    x, iterations, converged = _lbfgs(objective, _starts(config))
-    coeffs, restart_values = _finish(objective, x)
-
+    x, restart_values, iterations, converged = _lbfgs(objective, _starts(config))
     usable = np.isfinite(restart_values)
     if not usable.any():
         raise RuntimeError(f"all {config.restarts} restarts failed at a={a}")
-    lowest = restart_values.min()
-    # _finish caps every value at V(a) and puts every vertex exactly there: the
-    # lowest restart is off a vertex, or every usable restart ties at V(a).
-    tied = restart_values <= lowest + _WITNESS_TIE
-    best = int(np.argmax(tied))
-    argmin, value = coeffs[best], float(restart_values[best])
-    # An L-BFGS end off a vertex carries its stopping tolerance: Newton settles the point and its value.
-    if not objective.at_vertex(argmin[None])[0]:
+    # Every basis vertex is feasible at the closed-form vertex value, so a
+    # restart that ends above it (in a worse local minimum) or on a vertex's
+    # cap (in a descent into a basis state) is replaced by its nearest
+    # vertex.  No solve then reports more than the vertex value: the lowest
+    # restart is off a vertex, or every usable restart ties at V(a).
+    snapped = usable & ((restart_values > objective.vertex_value) | objective.at_vertex(x))
+    restart_values[snapped] = objective.vertex_value
+    restart_values[~usable] = np.inf
+    best = int(np.argmax(restart_values <= restart_values.min() + _WITNESS_TIE))
+    value = float(restart_values[best])
+    if snapped[best]:
+        argmin = np.eye(MODULUS)[np.argmax(np.abs(x[best]))]
+    else:
+        # An L-BFGS end off a vertex carries its stopping tolerance: Newton settles the point and its value.
+        argmin = gauge_fix(x[best] / np.linalg.norm(x[best, None], axis=1))
         polished, polished_value, polished_ok = _newton(objective, argmin)
         if polished_ok:
             argmin, value = gauge_fix(polished), polished_value
@@ -370,7 +353,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
         iterations_used=int(iterations[best]),
         restart_values=restart_values,
         failed_restarts=tuple(int(i) for i in np.flatnonzero(~(usable & converged))),
-        nontrivial_minimizer=bool(np.any(usable & ~objective.at_vertex(coeffs))),
+        nontrivial_minimizer=bool(np.any(usable & ~snapped)),
     )
 
 

@@ -23,7 +23,6 @@ from qshare.optimize import (
     _WITNESS_TIE,
     OptimizationConfig,
     _continue_mixed_branch,
-    _finish,
     _lbfgs,
     _mix,
     _SpanObjective,
@@ -460,14 +459,14 @@ class TestRestarts:
         start_values, _ = objective.value_and_grad(starts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, converged = _lbfgs(objective, starts)
+            x, _, _, converged = _lbfgs(objective, starts)
         assert converged.all()
         final_values, _ = objective.value_and_grad(x)
         assert np.all(final_values <= start_values + _VALUE_TOLERANCE)
 
     def test_stationary_start_converges_in_place(self):
         centre = np.linspace(-1.0, 1.0, 14)
-        x, iterations, converged = _lbfgs(_Quadratic(centre), np.array([centre, centre + 0.5]))
+        x, _, iterations, converged = _lbfgs(_Quadratic(centre), np.array([centre, centre + 0.5]))
         assert converged.all()
         assert iterations[0] == 0 and np.array_equal(x[0], centre)
         assert np.allclose(x[1], centre, atol=1e-4)
@@ -480,7 +479,7 @@ class TestRestarts:
         vertex[0, 3] = 1.0
         _, grad = objective.value_and_grad(vertex)
         assert 0.0 < np.linalg.norm(grad) < 1e-14
-        x, iterations, converged = _lbfgs(objective, vertex)
+        x, _, iterations, converged = _lbfgs(objective, vertex)
         assert converged[0] and iterations[0] == 0
         assert np.array_equal(x, vertex)
 
@@ -488,7 +487,7 @@ class TestRestarts:
         # The steepest descent descends, but backtracking reaches the step
         # floor without lowering the value: the restart stops at its start.
         starts = _starts(OptimizationConfig(restarts=3, seed=0))
-        x, iterations, converged = _lbfgs(_Plateau(), starts)
+        x, _, iterations, converged = _lbfgs(_Plateau(), starts)
         assert converged.all()
         assert np.array_equal(iterations, [0, 0, 0])
         assert np.array_equal(x, starts)
@@ -497,9 +496,9 @@ class TestRestarts:
         objective = _SpanObjective(ResidueFamily.from_a(0.5))
         starts = _starts(OptimizationConfig(restarts=2, seed=0))
         starts[0] = np.nan
-        x, iterations, converged = _lbfgs(objective, starts)
-        assert not converged[0] and iterations[0] == 0
-        assert converged[1] and np.all(np.isfinite(x[1]))
+        x, values, iterations, converged = _lbfgs(objective, starts)
+        assert not converged[0] and iterations[0] == 0 and np.isnan(values[0])
+        assert converged[1] and np.all(np.isfinite(x[1])) and np.isfinite(values[1])
 
     def test_iteration_limit_fails_the_restart(self, monkeypatch):
         monkeypatch.setattr("qshare.optimize._MAX_ITERATIONS", 1)
@@ -523,39 +522,106 @@ class TestRestarts:
 
         options = {"maxiter": _MAX_ITERATIONS, "ftol": _VALUE_TOLERANCE, "gtol": _STEP_TOLERANCE}
         runs = [minimize(fun, x0, jac=True, method="L-BFGS-B", options=options) for x0 in _starts(FAST)]
-        _, values = _finish(objective, np.array([res.x for res in runs]))
-        oracle = values.min()
+        ends = np.array([res.x for res in runs])
+        values, _ = objective.value_and_grad(ends)
+        # Each end above V(a) or on a vertex's cap counts at V(a), as in a solve.
+        snapped = objective.at_vertex(ends) | (values > objective.vertex_value)
+        oracle = np.where(snapped, objective.vertex_value, values).min()
         assert min_span_entanglement(a, FAST).value == pytest.approx(oracle, abs=_VALUE_TOLERANCE)
 
 
+@pytest.fixture
+def lbfgs_ends(monkeypatch):
+    """(objective, ends, values) of each solve's L-BFGS run, recorded before the solve snaps its values."""
+    ends = []
+
+    def recorded(objective, x0):
+        x, f, iterations, converged = _lbfgs(objective, x0)
+        ends.append((objective, x, f.copy()))
+        return x, f, iterations, converged
+
+    monkeypatch.setattr("qshare.optimize._lbfgs", recorded)
+    return ends
+
+
 def copysign_gauge(coeffs):
-    """Sign rule for the rows of ``_finish``, written out as an oracle for its call to ``gauge_fix``."""
+    """Sign rule for the witness, written out as an oracle for the solve's call to ``gauge_fix``."""
     lead = np.argmax(np.abs(coeffs) > 1e-12, axis=1)
     return coeffs * np.copysign(1.0, coeffs[np.arange(len(coeffs)), lead])[:, None]
 
 
 class _Unsnapped:
-    """A constant objective with no vertex: ``_finish`` then only normalizes and gauges."""
+    """A constant objective with no vertex, NaN at a non-finite point: a solve then only normalizes and gauges."""
 
     vertex_value = np.inf
     at_vertex = never_at_vertex
 
+    def __init__(self, family):
+        pass
+
     def value_and_grad(self, x):
-        return np.zeros(len(x)), np.zeros_like(x)
+        return np.where(np.isfinite(x).all(axis=1), 0.0, np.nan), np.zeros_like(x)
 
 
-class TestFinish:
-    def test_rows_follow_the_sign_rule(self):
+class TestSolveEnds:
+    def test_witness_follows_the_sign_rule(self, monkeypatch):
         x = np.random.default_rng(9).standard_normal((6, MODULUS))
         x[0, 0] = -abs(x[0, 0])  # negative lead
         x[1, :3] = [5e-13, -0.6, 0.8]  # a lead below 1e-12 is skipped
         x[2] = -np.eye(MODULUS)[4]  # an exact basis vector
         x[3] = np.nan
-        coeffs, values = _finish(_Unsnapped(), x)
-        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-        assert np.array_equal(coeffs, copysign_gauge(unit), equal_nan=True)
-        assert coeffs.dtype == np.float64
-        assert values[3] == np.inf and np.all(values[[0, 1, 2, 4, 5]] == 0.0)
+        unit = copysign_gauge(x / np.linalg.norm(x, axis=1, keepdims=True))
+        # Every finite end is stationary where it starts and ties at 0; Newton is held off.
+        monkeypatch.setattr("qshare.optimize._SpanObjective", _Unsnapped)
+        monkeypatch.setattr("qshare.optimize._newton", lambda objective, x: (x, np.nan, False))
+        for row in (0, 1, 2, 4, 5):
+            # The non-finite end ahead of the witness reports +inf and is passed over.
+            monkeypatch.setattr("qshare.optimize._starts", lambda config: x[[3, row]])
+            result = min_span_entanglement(0.5, OptimizationConfig(restarts=2, seed=0))
+            assert np.array_equal(result.restart_values, [np.inf, 0.0])
+            assert result.restart_index == 1 and result.value == 0.0
+            assert result.argmin.dtype == np.float64
+            assert np.array_equal(result.argmin, unit[row]), row
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.43, 0.461, 0.5, 0.53, 0.8])
+    def test_end_values_are_the_values_of_the_normalized_ends(self, lbfgs_ends, a):
+        # The objective is scale-free, so L-BFGS's own value at an end off
+        # the unit sphere is the value at the normalized end, to round-off;
+        # a solve keeps it, or reports exactly V(a) for a snapped end.
+        norms = []
+        for seed in range(5):
+            result = min_span_entanglement(a, OptimizationConfig(restarts=40, seed=seed))
+            objective, x, f = lbfgs_ends.pop()
+            norms.append(np.linalg.norm(x, axis=1))
+            unit_values, _ = objective.value_and_grad(x / norms[-1][:, None])
+            assert np.max(np.abs(f - unit_values)) <= 1e-13
+            snapped = (f > objective.vertex_value) | objective.at_vertex(x)
+            assert np.all(result.restart_values[snapped] == objective.vertex_value)
+            assert np.array_equal(result.restart_values[~snapped], f[~snapped])
+        # The ends are not on the unit sphere.
+        assert np.max(np.abs(np.concatenate(norms) - 1.0)) > 0.1
+
+
+class TestIndexSymmetry:
+    @pytest.mark.parametrize("a", [0.3, 0.461, 0.5, 0.8])
+    def test_residue_multipliers_keep_the_objective(self, a):
+        # Relabelling the span coefficients by j -> u j + t (mod 7) keeps the
+        # value at every point for u in {1, 2, 4} and each t, 21 maps; for
+        # u in {3, 5, 6} some of 500 random points move by more than 0.1.
+        objective = _SpanObjective(ResidueFamily.from_a(a))
+        x = np.random.default_rng(0).standard_normal((500, MODULUS))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        values, _ = objective.value_and_grad(x)
+        j = np.arange(MODULUS)
+        for u in range(1, MODULUS):
+            for t in range(MODULUS):
+                moved = np.empty_like(x)
+                moved[:, (u * j + t) % MODULUS] = x
+                change = np.max(np.abs(objective.value_and_grad(moved)[0] - values))
+                if u in (1, 2, 4):
+                    assert change <= 1e-14, (u, t)
+                else:
+                    assert change > 0.1, (u, t)
 
 
 class TestComplexOracle:
@@ -565,8 +631,7 @@ class TestComplexOracle:
         objective = ComplexSpanObjective(ResidueFamily.from_a(a))
         starts = np.random.default_rng(0).standard_normal((config.restarts, 14))
         starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-        x, _, _ = _lbfgs(objective, starts)
-        values, _ = objective.value_and_grad(x)
+        _, values, _, _ = _lbfgs(objective, starts)
         oracle = np.minimum(values, objective.vertex_value).min()
         assert min_span_entanglement(a, config).value == pytest.approx(oracle, abs=1e-10)
 
@@ -689,25 +754,17 @@ class TestMinSpanEntanglement:
 
 class TestNontrivialMinimizer:
     @pytest.mark.parametrize("restarts", (5, 40))
-    def test_flag_does_not_depend_on_the_tie_window(self, monkeypatch, restarts):
-        # _finish caps every usable restart at V(a) and puts every vertex
+    def test_flag_does_not_depend_on_the_tie_window(self, lbfgs_ends, restarts):
+        # A solve caps every usable restart at V(a) and puts every vertex
         # restart exactly there, so "some restart within _WITNESS_TIE of the
         # best is off a vertex" agrees with the same within 1e-6 and within
         # any distance.
-        finished = []
-
-        def recorded(objective, x):
-            coeffs, values = _finish(objective, x)
-            finished.append((objective, coeffs))
-            return coeffs, values
-
-        monkeypatch.setattr("qshare.optimize._finish", recorded)
         flags = []
         for a in [*np.linspace(0.0, 1.0, 21), 0.47, 0.49, 0.51, 0.53]:
             for seed in (0, 1):
                 result = min_span_entanglement(float(a), OptimizationConfig(restarts=restarts, seed=seed))
-                objective, coeffs = finished.pop()
-                values, off = result.restart_values, ~objective.at_vertex(coeffs)
+                objective, x, f = lbfgs_ends.pop()
+                values, off = result.restart_values, (f <= objective.vertex_value) & ~objective.at_vertex(x)
                 assert np.all(values <= objective.vertex_value)
                 assert np.all(values[~off] == objective.vertex_value)
                 for window in (_WITNESS_TIE, 1e-6, np.inf):
@@ -772,16 +829,24 @@ class TestVertexRetirement:
             assert objective.at_vertex(x).all()
             assert np.min(objective.value_and_grad(x)[0]) >= objective.vertex_value - 1e-11
 
-    def test_point_on_the_cap_reports_its_vertex(self):
+    def test_point_on_the_cap_reports_its_vertex(self, monkeypatch):
         # 1e-11 of the weight off e_2 spreads into eigenvalues the spectrum
         # clip drops, so the computed value is 2.3e-12 below V(a).
         objective = _SpanObjective(ResidueFamily.from_a(0.45))
         x = np.full((1, MODULUS), np.sqrt(1e-11 / 6))
         x[0, 2] = -np.sqrt(1.0 - 1e-11)
+        # The solve receives that point, off the unit sphere, as its one L-BFGS end.
+        end = 3.0 * x
         assert objective.value_and_grad(x)[0][0] < objective.vertex_value
-        coeffs, values = _finish(objective, x)
-        assert values[0] == objective.vertex_value
-        assert np.array_equal(coeffs[0], np.eye(MODULUS)[2])
+        assert objective.value_and_grad(end)[0][0] < objective.vertex_value
+        monkeypatch.setattr(
+            "qshare.optimize._lbfgs",
+            lambda objective, x0: (end, objective.value_and_grad(end)[0], np.zeros(1, int), np.ones(1, bool)),
+        )
+        result = min_span_entanglement(0.45, OptimizationConfig(restarts=1, seed=0))
+        assert result.value == result.restart_values[0] == objective.vertex_value
+        assert np.array_equal(result.argmin, np.eye(MODULUS)[2])
+        assert not result.nontrivial_minimizer
 
     @pytest.mark.parametrize("a", [0.461, 0.5, 0.53])
     def test_retirement_moves_only_vertex_values(self, monkeypatch, a):
