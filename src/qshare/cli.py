@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -206,6 +207,7 @@ def _emit(report, fmt) -> str:
     return _render_text(report)
 
 
+@functools.cache  # one parser per process: a build is mostly gettext lookups, and parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshare", description=__doc__)
     # Each subcommand takes only the flags it reads, so argparse rejects the rest.

@@ -166,12 +166,13 @@ def check_density_matrix(rho, dim=None):
 def swap_operator(d):
     """Pair-exchange operator F = sum_ij |ij><ji| on two d-level systems.
 
-    F is real symmetric, F @ F = I, and trace(F) = d.  Its own memory map, populated in
-    one call where mmap has MAP_POPULATE, goes back to the system with F, not to the heap.
+    F is real symmetric, F @ F = I, and trace(F) = d.  Its own anonymous memory map goes back
+    to the system with F, not to the heap.  Only the pages holding one of its d^2 ones are
+    written, so only they are resident; the others read as the system's shared zero page.
     """
     d = check_integer(d, "d", 1)
     try:
-        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
         f = np.frombuffer(mmap.mmap(-1, size := d**4 * np.dtype(float).itemsize, flags=flags)).reshape(d * d, d * d)
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"cannot map the swap operator for d={d}: {size} bytes ({exc})") from exc

@@ -8,7 +8,6 @@ bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,20 +75,19 @@ def binary_entropy(x) -> float:
     return shannon_entropy(np.array([x, 1.0 - x]))
 
 
-def eof_from_concurrence(c) -> float:
-    """Map a concurrence in [0, 1] to the pair entanglement of formation.
+def eof_from_concurrence(c):
+    """Map a concurrence in [0, 1] to the pair entanglement of formation, elementwise over an array.
 
     The curve is monotonically increasing with value 0 at c = 0 and 1 at
     c = 1.  Arguments outside [0, 1] are rejected (round-off within 1e-9 of
-    the endpoints is snapped in).
+    the endpoints is snapped in).  A scalar gives a float.
     """
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        if -1e-9 <= c <= 1.0 + 1e-9:
-            c = min(1.0, max(0.0, c))
-        else:
-            raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    c = np.asarray(c, dtype=float)
+    if (outside := ~((c >= -1e-9) & (c <= 1.0 + 1e-9))).any():  # NaN is outside
+        raise ValueError(f"concurrence must lie in [0, 1], got {c[outside].flat[0]}")
+    x = 0.5 * (1.0 + np.sqrt(1.0 - np.clip(c, 0.0, 1.0) ** 2))
+    h = shannon_entropy(np.stack([x, 1.0 - x], axis=-1))
+    return float(h) if c.ndim == 0 else h
 
 
 def pure_entanglement(psi, dims, cut):

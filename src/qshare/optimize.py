@@ -9,6 +9,7 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,19 +293,46 @@ def _mix(z):
 
 
 def _starts(config: OptimizationConfig):
-    """Unit starting points (restarts, 7): row i is the first 7 of 8 normals from SplitMix64 outputs 8i ... 8i + 7.
-
-    The generator's key mixes in every 64-bit word of the seed, lowest first.  Each output z gives the uniform
-    ((z >> 11) + 0.5) / 2**53 in (0, 1], and Box-Muller turns the row's four pairs into 8 normals.
-    """
-    seed, key = int(config.seed), np.zeros(1, dtype=np.uint64)
-    for shift in range(0, max(seed.bit_length(), 1), 64):
-        key = _mix(key ^ ((seed >> shift) & 0xFFFFFFFFFFFFFFFF))
-    z = _mix(key + np.arange(1, 8 * config.restarts + 1, dtype=np.uint64) * _GOLDEN_GAMMA)
-    u = (((z >> 11) + 0.5) / 2.0**53).reshape(config.restarts, 2, 4)
-    radius, angle = np.sqrt(-2.0 * np.log(u[:, 0])), 2.0 * np.pi * u[:, 1]
-    x0 = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :MODULUS]
+    """Unit starting points (restarts, 7): row i is the first 7 of 8 normals from SplitMix64 outputs 8i ... 8i + 7."""
+    x0 = RandomStream(config.seed).standard_normal((config.restarts, MODULUS))
     return x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+
+
+class RandomStream:
+    """SplitMix64 keyed by ``seed``, with the ``numpy.random.Generator`` draws the checks make.
+
+    The key mixes in every 64-bit word of the seed, lowest first.  Each draw takes the stream's next outputs, and
+    output z gives the uniform ((z >> 11) + 0.5) / 2**53 in (0, 1].  It is the restarts' generator
+    (:func:`_starts`), and with it ``verify`` never loads numpy.random.
+    """
+
+    def __init__(self, seed):
+        seed, self._key, self._used = int(seed), np.zeros(1, dtype=np.uint64), 0
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            self._key = _mix(self._key ^ ((seed >> shift) & 0xFFFFFFFFFFFFFFFF))
+
+    def random(self, size=None):
+        """Uniforms: a float, or an array of shape ``size``."""
+        shape = () if size is None else tuple(np.atleast_1d(size))
+        start, self._used = self._used, self._used + math.prod(shape)
+        z = _mix(self._key + np.arange(start + 1, self._used + 1, dtype=np.uint64) * _GOLDEN_GAMMA)
+        u = (((z >> 11) + 0.5) / 2.0**53).reshape(shape)
+        return float(u) if size is None else u
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+    def integers(self, low, high) -> int:
+        """An integer in [low, high)."""
+        return low + math.ceil(self.random() * (high - low)) - 1
+
+    def standard_normal(self, size):
+        """Normals of shape ``size`` by Box-Muller: n along the last axis take the next 2 ceil(n / 2) uniforms,
+        the first half radii and the second half angles, cosines before sines."""
+        *rows, n = np.atleast_1d(size)
+        u = self.random((*rows, 2, (n + 1) // 2))
+        radius, angle = np.sqrt(-2.0 * np.log(u[..., 0, :])), 2.0 * np.pi * u[..., 1, :]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
 
 
 def span_entanglement(coeffs, a) -> float:

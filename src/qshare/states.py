@@ -75,13 +75,14 @@ def singlet_state(d):
 def singlet_pair_reduced(d):
     """Closed-form pair marginal of the antisymmetric state: (I - F) / (d(d-1)).
 
-    Valid for any d >= 2 without building the full collective state.
+    Valid for any d >= 2 without building the full collective state.  Only F's ones and the
+    diagonal are written into F's map, so only their pages are resident; every entry, zeros'
+    signs included, is the one (0 - F + I) / (d(d-1)) gives.
     """
     d = check_integer(d, "d", 2)
-    rho = swap_operator(d)
-    np.subtract(0.0, rho, out=rho)  # 0 - F, not -F, keeps the zeros positive as in I - F
-    rho.flat[:: d * d + 1] += 1.0
-    rho /= d * (d - 1)
+    rho, rows, scale = swap_operator(d), np.arange(d * d), d * (d - 1)
+    rho[rows, (rows % d) * d + rows // d] = -1.0 / scale
+    rho.flat[:: d * d + 1] += 1.0 / scale
     return rho
 
 

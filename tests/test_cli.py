@@ -316,19 +316,80 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_solves_leave_numpy_random_unloaded():
-    # The restarts come from the optimizer's own generator; loading numpy.random
-    # would cost a table process about 11 ms and 5.6 MB of peak memory.
+    # The restarts and the checks' inputs come from qshare's own generator; loading
+    # numpy.random and drawing from it would cost a process 12-13 ms and 6.6 MB.
     code = (
-        "import json, sys, numpy, qshare.cli\n"
+        "import contextlib, io, json, sys, numpy, qshare.cli\n"
         "preloaded = 'numpy.random' in sys.modules\n"
-        "codes = [qshare.cli.main([name, '--restarts', '2', '--format', 'json']) for name in ('table', 'family')]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [qshare.cli.main([name, '--restarts', '2', '--format', 'json'])\n"
+        "             for name in ('table', 'family', 'verify')]\n"
         "sys.stderr.write(json.dumps([preloaded, codes, 'numpy.random' in sys.modules]))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
     preloaded, codes, loaded = json.loads(out.stderr)
     if preloaded:
         pytest.skip("this numpy release imports numpy.random with numpy itself")
-    assert (codes, loaded) == ([0, 0], False)
+    assert (codes, loaded) == ([0, 0, 0], False)
+
+
+def test_werner_matrices_keep_only_their_nonzero_pages_resident():
+    # F's d^2 ones lie on 872 of the 1,583 pages of its d = 30 map, 3.41 MB, and the
+    # marginal's nonzeros, F's ones and the diagonal, on 1,278, 4.99 MB; every page
+    # of either map was resident before, 6.18 MB.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("resident memory is read from Linux's /proc/self/status")
+    code = (
+        "import json, sys\n"
+        "from qshare.linalg import swap_operator\n"
+        "from qshare.states import singlet_pair_reduced\n"
+        "def resident_mb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmRSS:')) / 1024\n"
+        "grown = {}\n"
+        "for build in (swap_operator, singlet_pair_reduced):\n"
+        "    build(2)\n"
+        "    before = resident_mb()\n"
+        "    kept = build(30)\n"
+        "    grown[build.__name__] = resident_mb() - before\n"
+        "    del kept\n"
+        "sys.stderr.write(json.dumps(grown))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    grown = json.loads(out.stderr)
+    assert grown["swap_operator"] <= 4.0 and grown["singlet_pair_reduced"] <= 5.5, grown
+
+
+def test_one_parser_serves_every_command_of_a_process():
+    # build_parser is cached, so a process parses every command with one parser;
+    # each command must still print and exit as in an interpreter of its own.
+    commands = [
+        ["table", "--format", "csv", "--restarts", "2"],
+        ["singlet", "--d", "3", "--format", "csv"],
+        ["family", "--a", "0.5", "--restarts", "2"],
+        ["verify", "--restarts", "2"],
+        ["family", "--bogus"],
+    ]
+    code = (
+        "import contextlib, io, json, sys, qshare.cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            status = qshare.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            status = exc.code\n"
+        "    runs.append([out.getvalue(), err.getvalue(), status])\n"
+        "sys.stdout.write(json.dumps(runs))"
+    )
+    together = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=source_env(), capture_output=True, text=True, check=True
+    )
+    for argv, run in zip(commands, json.loads(together.stdout), strict=True):
+        alone = subprocess.run([sys.executable, "-m", "qshare.cli", *argv], env=source_env(), capture_output=True)
+        assert run == [alone.stdout.decode(), alone.stderr.decode(), alone.returncode], argv  # csv rows end in \r\n
+    assert [run[2] for run in json.loads(together.stdout)] == [0, 2, 0, 0, 2]
 
 
 def numpy_blas_name():

@@ -128,6 +128,22 @@ class TestConcurrenceCurve:
         with pytest.raises(ValueError):
             eof_from_concurrence(-0.2)
 
+    def test_array_equals_the_scalar_loop_bit_for_bit(self):
+        grid = np.linspace(0.0, 1.0, 1000)
+        values = eof_from_concurrence(grid)
+        assert values.shape == grid.shape
+        assert values.tobytes() == np.array([eof_from_concurrence(c) for c in grid]).tobytes()
+        assert type(eof_from_concurrence(0.25)) is float and type(eof_from_concurrence(np.float64(0.25))) is float
+
+    def test_array_snaps_each_entry_within_round_off(self):
+        snapped = eof_from_concurrence(np.array([[-1e-9, 0.5], [1.0 + 1e-9, -5e-10]]))
+        assert snapped.tolist() == [[0.0, eof_from_concurrence(0.5)], [eof_from_concurrence(1.0), 0.0]]
+
+    @pytest.mark.parametrize("bad", [-1.1e-9, 1.0 + 1.1e-9, 1.5, np.nan, -np.inf])
+    def test_array_rejects_any_entry_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="concurrence must lie in \\[0, 1\\]"):
+            eof_from_concurrence(np.array([0.0, 0.5, bad, 1.0]))
+
 
 class TestPureConcurrence:
     def test_singlet(self):

@@ -22,6 +22,7 @@ from qshare.optimize import (
     _VERTEX_WEIGHT,
     _WITNESS_TIE,
     OptimizationConfig,
+    RandomStream,
     _continue_mixed_branch,
     _lbfgs,
     _mix,
@@ -380,6 +381,37 @@ class _Plateau:
         return np.ones(len(x)), np.ones_like(x)
 
     at_vertex = never_at_vertex
+
+
+class TestRandomStream:
+    """The generator of the restarts, drawn from as the checks draw from numpy.random.Generator."""
+
+    def test_draws_continue_the_stream(self):
+        whole, parts = RandomStream(5).random(6), RandomStream(5)
+        assert np.array_equal(whole, np.concatenate([parts.random(2), parts.random((2, 2)).ravel()]))
+        assert np.array_equal(RandomStream(5).random(6), whole) and not np.array_equal(RandomStream(6).random(6), whole)
+        assert np.all((whole > 0.0) & (whole <= 1.0))
+
+    def test_scalar_draws_are_python_numbers(self):
+        stream = RandomStream(0)
+        assert type(stream.random()) is float and type(stream.uniform(0.0, 2.0)) is float
+        assert type(stream.integers(2, 6)) is int
+
+    def test_uniform_and_integers_stay_in_range(self):
+        stream = RandomStream(1)
+        u = stream.uniform(-0.5, 0.25, size=1000)
+        assert u.shape == (1000,) and np.all((u > -0.5) & (u <= 0.25))
+        assert sorted({stream.integers(2, 6) for _ in range(400)}) == [2, 3, 4, 5]
+
+    def test_normals_are_box_muller_rows(self):
+        # 7 normals take 8 uniforms: 4 radii, then 4 angles; the cosines come first.
+        u = RandomStream(5).random(8)
+        radius, angle = np.sqrt(-2.0 * np.log(u[:4])), 2.0 * np.pi * u[4:]
+        expected = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:MODULUS]
+        assert np.array_equal(RandomStream(5).standard_normal(MODULUS), expected)
+        assert np.array_equal(RandomStream(5).standard_normal((40, MODULUS))[0], expected)
+        z = RandomStream(2).standard_normal((3, 20_000)).ravel()
+        assert abs(z.mean()) <= 5.0 / np.sqrt(z.size) and abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / z.size)
 
 
 class TestRestarts:

@@ -117,10 +117,11 @@ class TestSingletPairReduced:
         assert np.array_equal(singlet_pair_reduced(3), expected)
 
     def test_bitwise_equal_to_the_dense_form(self):
-        # Built in place from F; every bit, signed zeros included, matches (I - F) / (d(d-1)).
+        # Written into F's map at its nonzeros alone; every bit, signed zeros included,
+        # matches the three whole-matrix passes (0 - F + I) / (d(d-1)).
         for d in range(2, 31):
-            dense = (np.identity(d * d) - swap_operator(d)) / (d * (d - 1))
-            assert singlet_pair_reduced(d).tobytes() == dense.tobytes()
+            dense = (np.subtract(0.0, swap_operator(d)) + np.identity(d * d)) / (d * (d - 1))
+            assert np.array_equal(singlet_pair_reduced(d).view(np.uint64), dense.view(np.uint64))
 
     def test_rejects_one_level(self):
         with pytest.raises(ValueError, match=r"d must be an integer >= 2, got 1"):
