@@ -29,6 +29,7 @@ from .optimize import (
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
+    min_span_entanglements,
     orbit_certificate,
     pair_eof,
     span_entanglement,

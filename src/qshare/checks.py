@@ -24,7 +24,7 @@ from .measures import (
     werner_fit,
 )
 from .optimize import (
-    PAIR_CUT, PAIR_DIMS, OptimizationConfig, RandomStream, min_span_entanglement, pair_eof, span_entanglement,
+    PAIR_CUT, PAIR_DIMS, OptimizationConfig, RandomStream, min_span_entanglements, orbit_certificate, span_entanglement,
 )
 from .states import (
     MODULUS,
@@ -61,9 +61,14 @@ def _result(name, deviation, bound):
     return CheckResult(name, bool(deviation <= bound), f"max deviation {deviation:.3e} (bound {bound:g})")
 
 
-def _random_state(rng, dim):
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+def _random_state(rng, dim, count=None):
+    """A random complex unit vector, or ``count`` of them as rows, drawn and normalized as ``count`` single draws."""
+    z = rng.standard_normal((count or 1, 2, dim))
+    z = z[:, 0] + 1j * z[:, 1]
+    # Row by row, the two dot products np.linalg.norm takes of one complex vector, over the same strided parts.
+    re, im = z.real[:, None], z.imag[:, None]
+    z /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    return z[0] if count is None else z
 
 
 def _random_special_unitary(rng, d):
@@ -106,9 +111,9 @@ def measure_checks(rng) -> list[CheckResult]:
     out = []
 
     # Mixed-state E_f of a pure projector equals the reduced-entropy value.
-    states = np.array([_random_state(rng, 4) for _ in range(100)])
-    pure = pure_entanglement(states, (2, 2), (0,))
-    dev = max(abs(qubit_eof(np.outer(psi, psi.conj())) - e) for psi, e in zip(states, pure))
+    states = _random_state(rng, 4, 100)
+    projectors = states[:, :, None] * states[:, None, :].conj()
+    dev = float(np.max(np.abs(qubit_eof(projectors) - pure_entanglement(states, (2, 2), (0,)))))
     out.append(_result("qubit E_f of projectors matches pure-state entropy", dev, 1e-8))
 
     # The concurrence-to-E_f curve is monotone.
@@ -117,13 +122,10 @@ def measure_checks(rng) -> list[CheckResult]:
     out.append(CheckResult("concurrence curve is monotone", monotone, "1000-point grid"))
 
     # Werner-form E_f agrees with the qubit formula where both apply.
-    dev, swap = 0.0, swap_operator(2)
-    for _ in range(100):
-        c = float(rng.uniform(0.0, 1.0))
-        a_w = (2.0 + c) / 6.0
-        b_w = -(1.0 + 2.0 * c) / 6.0
-        rho = a_w * np.identity(4) + b_w * swap
-        dev = max(dev, abs(werner_eof(rho, 2) - qubit_eof(rho)))
+    c = rng.uniform(0.0, 1.0, size=100)[:, None, None]
+    rhos = (2.0 + c) / 6.0 * np.identity(4) - (1.0 + 2.0 * c) / 6.0 * swap_operator(2)
+    werner = np.array([werner_eof(rho, 2) for rho in rhos])
+    dev = float(np.max(np.abs(werner - qubit_eof(rhos))))
     out.append(_result("werner and qubit E_f agree for two qubits", dev, 1e-9))
 
     # -Tr(rho F) evaluates like the linear form in the fitted coefficients.
@@ -208,10 +210,11 @@ def family_checks(family: ResidueFamily, rng) -> list[CheckResult]:
 
     recon_dev = 0.0
     spread = 0.0
-    for a in rng.uniform(0.0, 1.0, size=5):
+    weights = rng.uniform(0.0, 1.0, size=5)
+    for a, seeds in zip(weights, _random_state(rng, MODULUS, 50).reshape(5, 10, MODULUS)):
         fam_a = ResidueFamily.from_a(float(a))
         target = fam_a.pair_density()
-        decs = [orbit_decomposition(_random_state(rng, MODULUS), fam_a) for _ in range(10)]
+        decs = [orbit_decomposition(coeffs, fam_a) for coeffs in seeds]
         for dec in decs:
             recon_dev = max(recon_dev, float(np.max(np.abs(dec.mixture() - target))))
         values = pure_entanglement(np.concatenate([dec.states for dec in decs]), PAIR_DIMS, PAIR_CUT)
@@ -272,23 +275,21 @@ def singlet_cross_check(d, closed) -> float:
 
 def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     out = []
+    # Two batches: the sampled weights and the ends of [0, 1], then a repeat and a prefix at a = 1/2.
+    weights, ends, half = (0.3, 0.5, 0.75), replace(config, restarts=min(config.restarts, 20)), config.restarts // 2
+    *solves, bottom, top = min_span_entanglements([(a, config) for a in weights] + [(0.0, ends), (1.0, ends)])
+    second, prefix = min_span_entanglements([(0.5, config), (0.5, replace(config, restarts=max(1, half)))])
 
     # The reported minimum must not exceed any sampled span state.
-    dev = 0.0
-    witness_dev = 0.0
-    solves = {a: min_span_entanglement(a, config) for a in (0.3, 0.5, 0.75)}
-    for a, result in solves.items():
-        for _ in range(20):
-            dev = max(dev, result.value - span_entanglement(_random_state(rng, MODULUS), a))
-        witness_dev = max(witness_dev, abs(span_entanglement(result.argmin, a) - result.value))
+    samples = _random_state(rng, MODULUS, 60).reshape(len(weights), 20, MODULUS)
+    dev = max(float(np.max(r.value - span_entanglement(c, a))) for a, r, c in zip(weights, solves, samples))
+    witness_dev = max(abs(span_entanglement(r.argmin, a) - r.value) for a, r in zip(weights, solves))
     out.append(_result("minimum lower-bounds sampled span states", max(dev, 0.0), 1e-8))
     out.append(_result("argmin reproduces the reported value", witness_dev, 1e-12))
 
-    # Same seed, same restart values; a batch of k restarts equals the first
-    # k rows of a batch of R, so no restart depends on the others.
-    first = solves[0.5]
-    second = min_span_entanglement(0.5, config)
-    prefix = min_span_entanglement(0.5, replace(config, restarts=max(1, config.restarts // 2)))
+    # Same seed, same restart values, from another batch; a batch of k restarts
+    # equals the first k rows of a batch of R, so no restart depends on the others.
+    first = solves[1]
     k = len(prefix.restart_values)
     deterministic = (
         np.array_equal(first.restart_values, second.restart_values)
@@ -310,12 +311,11 @@ def optimizer_checks(config: OptimizationConfig, rng) -> list[CheckResult]:
     orbit_dev = float(np.max(np.abs(pure_entanglement(dec.states, PAIR_DIMS, PAIR_CUT) - seed_value)))
     out.append(_result("orbit images keep the seed's entanglement", orbit_dev, 1e-10))
 
-    # Endpoint evaluations, including the constructive decomposition check.
-    endpoint_cfg = replace(config, restarts=min(config.restarts, 20))
+    # Endpoint evaluations: each end's minimum passes its constructive decomposition check.
     try:
-        pair_eof(0.0, endpoint_cfg)
-        top = pair_eof(1.0, endpoint_cfg)
-        out.append(_result("aligned-weight endpoints evaluate cleanly", abs(top), 1e-9))
+        orbit_certificate(bottom, 0.0)
+        orbit_certificate(top, 1.0)
+        out.append(_result("aligned-weight endpoints evaluate cleanly", abs(top.value), 1e-9))
     except Exception as exc:  # pragma: no cover - failure path
         out.append(CheckResult("aligned-weight endpoints evaluate cleanly", False, repr(exc)))
     return out

@@ -95,24 +95,26 @@ def pure_entanglement(psi, dims, cut):
     return shannon_entropy(schmidt_spectrum(psi, dims, cut))
 
 
-def qubit_concurrence(rho) -> float:
-    """Concurrence of a two-qubit mixed state via the spin-flipped spectrum.
+def qubit_concurrence(rho):
+    """Concurrence of a two-qubit mixed state via the spin-flipped spectrum, or one per matrix of a (..., 4, 4) stack.
 
-    Uses the descending square roots lambda_i of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy), conjugation taken in the computational
-    basis, and returns max(0, l1 - l2 - l3 - l4).  The lambda_i are computed
-    as the singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which
-    keeps the near-zero ones at round-off instead of sqrt(round-off).
+    Uses the descending square roots lambda_i of the eigenvalues of rho (sy x sy) rho* (sy x sy), conjugation taken
+    in the computational basis, and returns max(0, l1 - l2 - l3 - l4).  The lambda_i are computed as the singular
+    values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which keeps the near-zero ones at round-off instead of
+    sqrt(round-off).  Each matrix is validated alone; one matrix gives a float.
     """
-    rho = check_density_matrix(rho, 4)
+    rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
+    for matrix in rho.reshape(-1, *rho.shape[-2:]):
+        check_density_matrix(matrix, 4)
     w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     lam = np.linalg.svd(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if rho.ndim == 2 else c
 
 
-def qubit_eof(rho) -> float:
-    """Entanglement of formation of a two-qubit mixed state."""
+def qubit_eof(rho):
+    """Entanglement of formation of a two-qubit mixed state, or one per matrix of a (..., 4, 4) stack."""
     return eof_from_concurrence(qubit_concurrence(rho))
 
 

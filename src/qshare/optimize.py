@@ -9,6 +9,7 @@ minimizer realizes a decomposition that attains it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,8 @@ from .states import MODULUS, ResidueFamily, gauge_fix, orbit_decomposition
 
 __all__ = [
     "PAIR_DIMS", "PAIR_CUT", "OptimizationConfig", "OptimizationResult", "ScanResult", "span_entanglement",
-    "min_span_entanglement", "average_entanglement", "orbit_certificate", "pair_eof", "maximize_pair_eof",
+    "min_span_entanglement", "min_span_entanglements", "average_entanglement", "orbit_certificate", "pair_eof",
+    "maximize_pair_eof",
 ]
 
 PAIR_DIMS = (MODULUS, MODULUS)
@@ -127,28 +129,32 @@ class ScanResult:
 
 
 class _SpanObjective:
-    """Pair entanglement as a function of the 7 real span coefficients.
+    """Pair entanglement as a function of the 7 real span coefficients, at an aligned weight per row.
 
     Every pair state is real, so conj(c) gives the conjugate marginal with
     the same spectrum, and at a real point no imaginary direction has a
     gradient: the search keeps to the real span.  The value is scale-invariant,
-    so the unit norm never needs explicit projection.
+    so the unit norm never needs explicit projection.  Batch rows from
+    ``starts[k - 1]`` on are at ``families[k]``; with no ``starts`` every row
+    is at the one family.
     """
 
-    def __init__(self, family: ResidueFamily):
-        # Pair state j reshaped to the real 7x7 amplitude matrix across the cut.
-        self.basis_mats = family.pair_basis().reshape(MODULUS, MODULUS, MODULUS)
-        self.vertex_value = family.pair_state_entanglement
+    def __init__(self, *families: ResidueFamily, starts=()):
+        # Pair state j of each family reshaped to the real 7x7 amplitude matrix across the cut.
+        self.basis_mats = np.stack([family.pair_basis().reshape(MODULUS, MODULUS, MODULUS) for family in families])
+        self.vertex_value = np.array([family.pair_state_entanglement for family in families])
+        self.starts = tuple(map(int, starts))
 
     def at_vertex(self, x):
         """Whether each row of ``x`` (R, 7) has reached a basis vertex: max x_i^2 > ``_VERTEX_WEIGHT`` |x|^2."""
         return np.max(x * x, axis=1) > _VERTEX_WEIGHT * np.einsum("ri,ri->r", x, x)
 
-    def value_and_grad(self, x):
-        """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7); no row's result depends on the others."""
-        return self._evaluate(x)[3:]
+    def value_and_grad(self, x, rows=None):
+        """Values (R,) and gradients (R, 7) at the rows of ``x`` (R, 7), batch rows ``rows`` (ascending; default
+        0 ... R - 1); no row's result depends on the others."""
+        return self._evaluate(x, rows)[3:]
 
-    def _evaluate(self, x):
+    def _evaluate(self, x, rows=None):
         """Per row: the unit-trace marginal's eigenpairs (w clipped at 0, p), amplitudes m, value and gradient."""
         n2 = np.einsum("ri,ri->r", x, x)
         # Scale-free objective; a zero row (unreachable in practice from unit
@@ -158,14 +164,17 @@ class _SpanObjective:
         usable = finite & ~zero
         x = np.where(usable[:, None], x, 0.0)
         n2 = np.where(usable, n2, 1.0)
-        m = np.einsum("rj,jab->rab", x, self.basis_mats)
+        # Each weight's rows lo:hi of x, as ``rows`` ascend (bisect: a first searchsorted maps 68 KB of numpy code).
+        edges = [0, *(bisect.bisect_left(range(len(x)) if rows is None else rows, s) for s in self.starts), len(x)]
+        groups = [(basis, slice(lo, hi)) for basis, lo, hi in zip(self.basis_mats, edges, edges[1:])]
+        m = np.concatenate([np.einsum("rj,jab->rab", x[group], basis) for basis, group in groups])
         w, p = np.linalg.eigh((m @ m.transpose(0, 2, 1)) / n2[:, None, None])
         w = np.clip(w, 0.0, None)
         # The value and dE = -Tr(log2(rho) drho) share one clipped log, 0 log 0 := 0.
         log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
         f = -np.sum(w * log_w, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
-        lmat = (p * log_w[:, None, :]) @ p.transpose(0, 2, 1)
-        g = np.einsum("jab,rab->rj", self.basis_mats, lmat @ m)
+        lm = (p * log_w[:, None, :]) @ p.transpose(0, 2, 1) @ m
+        g = np.concatenate([np.einsum("jab,rab->rj", basis, lm[group]) for basis, group in groups])
         grad = -(2.0 / n2[:, None]) * (g + f[:, None] * x)
         f[zero] = 3.0
         f[~finite] = np.nan
@@ -250,7 +259,7 @@ def _lbfgs(objective: _SpanObjective, x0):
     while running.any():
         rows = np.flatnonzero(running)
         trial = x[rows] + step[rows, None] * d[rows]
-        f_trial, g_trial = objective.value_and_grad(trial)
+        f_trial, g_trial = objective.value_and_grad(trial, rows)
         accept = f_trial <= f[rows] + _ARMIJO * step[rows] * slope[rows]
 
         moved = rows[accept]
@@ -335,34 +344,52 @@ class RandomStream:
         return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
 
 
-def span_entanglement(coeffs, a) -> float:
-    """Pair-cut entanglement of the span state with the given coefficients."""
+def span_entanglement(coeffs, a):
+    """Pair-cut entanglement of the span state with the given coefficients: a float, or one value per row of a stack."""
     return pure_entanglement(ResidueFamily.from_a(a).span_state(coeffs), PAIR_DIMS, PAIR_CUT)
 
 
 def min_span_entanglement(a, config: OptimizationConfig | None = None) -> OptimizationResult:
-    """Smallest span-state entanglement at aligned weight ``a``.
+    """Smallest span-state entanglement at aligned weight ``a``: :func:`min_span_entanglements` of one pair."""
+    return min_span_entanglements([(a, config or OptimizationConfig())])[0]
 
-    Runs ``config.restarts`` local minimizations from seeded random starting
-    points, all advanced together as one batch, and keeps the best local
-    minimum (the lowest-index restart within ``_WITNESS_TIE`` of it).  A
-    restart's outcome depends only on its own start, so identical (a, seed)
-    inputs reproduce identical restart values, and the first k restarts of
-    a larger run equal a run of k restarts.
+
+def min_span_entanglements(problems) -> list[OptimizationResult]:
+    """Smallest span-state entanglement for each (a, config) pair of ``problems``, from one L-BFGS batch.
+
+    Each pair runs ``config.restarts`` local minimizations from seeded random
+    starting points, and keeps the best local minimum (the lowest-index restart
+    within ``_WITNESS_TIE`` of it).  Every restart of every pair advances in one
+    lockstep batch, but a restart's outcome depends only on its own start and
+    weight: each result equals the pair solved alone, identical (a, seed)
+    inputs reproduce identical restart values, and the first k restarts of a
+    larger run equal a run of k restarts.  Every pair is validated before any
+    solve runs.
     """
-    config = config or OptimizationConfig()
-    objective = _SpanObjective(ResidueFamily.from_a(a))
-    x, restart_values, iterations, converged = _lbfgs(objective, _starts(config))
+    if not (problems := list(problems)) or not all(isinstance(config, OptimizationConfig) for _, config in problems):
+        raise ValueError(f"need one or more (a, OptimizationConfig) pairs, got {problems!r}")
+    families = [ResidueFamily.from_a(a) for a, _ in problems]
+    edges = np.cumsum([0] + [config.restarts for _, config in problems])
+    objective = _SpanObjective(*families, starts=edges[1:-1])
+    ends = _lbfgs(objective, np.concatenate([_starts(config) for _, config in problems]))
+    return [
+        _best(objective, family, vertex, *(end[lo:hi] for end in ends))
+        for family, vertex, lo, hi in zip(families, objective.vertex_value, edges, edges[1:])
+    ]
+
+
+def _best(objective, family, vertex_value, x, restart_values, iterations, converged) -> OptimizationResult:
+    """One solve's result from its rows of the batch's L-BFGS ends: snapped values, witness and polished argmin."""
     usable = np.isfinite(restart_values)
     if not usable.any():
-        raise RuntimeError(f"all {config.restarts} restarts failed at a={a}")
+        raise RuntimeError(f"all {len(x)} restarts failed at a={family.a}")
     # Every basis vertex is feasible at the closed-form vertex value, so a
     # restart that ends above it (in a worse local minimum) or on a vertex's
     # cap (in a descent into a basis state) is replaced by its nearest
     # vertex.  No solve then reports more than the vertex value: the lowest
     # restart is off a vertex, or every usable restart ties at V(a).
-    snapped = usable & ((restart_values > objective.vertex_value) | objective.at_vertex(x))
-    restart_values[snapped] = objective.vertex_value
+    snapped = usable & ((restart_values > vertex_value) | objective.at_vertex(x))
+    restart_values[snapped] = vertex_value
     restart_values[~usable] = np.inf
     best = int(np.argmax(restart_values <= restart_values.min() + _WITNESS_TIE))
     value = float(restart_values[best])
@@ -371,7 +398,7 @@ def min_span_entanglement(a, config: OptimizationConfig | None = None) -> Optimi
     else:
         # An L-BFGS end off a vertex carries its stopping tolerance: Newton settles the point and its value.
         argmin = gauge_fix(x[best] / np.linalg.norm(x[best, None], axis=1))
-        polished, polished_value, polished_ok = _newton(objective, argmin)
+        polished, polished_value, polished_ok = _newton(_SpanObjective(family), argmin)
         if polished_ok:
             argmin, value = gauge_fix(polished), polished_value
     return OptimizationResult(
@@ -423,7 +450,7 @@ def pair_eof(a, config: OptimizationConfig | None = None) -> float:
 
 
 def _tangent_hessian(objective: _SpanObjective, x):
-    """Value f, tangent gradient P g and exact Riemannian Hessian P H P at the unit point ``x``.
+    """Value f, tangent gradient P g and exact Riemannian Hessian P H P at the unit point ``x``, at the first weight.
 
     P = I - x x^T, and x^T g = 0 as f is scale-free.  With rho = M M^T = V diag(w) V^T, w clipped to
     [SPECTRUM_CLIP, 1], L_ab = (ln w_a - ln w_b) / (w_a - w_b), L_aa = 1 / w_a and E_j = V^T (B_j M^T + M B_j^T) V,
@@ -434,7 +461,7 @@ def _tangent_hessian(objective: _SpanObjective, x):
     w = np.clip(w, SPECTRUM_CLIP, 1.0)
     gap, low = np.abs(w[:, None] - w), np.minimum(w[:, None], w)
     divided = np.divide(np.log1p(gap / low), gap, out=1.0 / low, where=gap > 0.0)  # L to a few ulps at any gap
-    half = (rotated := v.T @ objective.basis_mats) @ m.T @ v  # V^T B_j M^T V
+    half = (rotated := v.T @ objective.basis_mats[0]) @ m.T @ v  # V^T B_j M^T V
     # Each sum is the Gram matrix of its P-projected factors, so P H P is symmetric to the bit.
     spectral = tangent @ (np.sqrt(divided) * (half + half.transpose(0, 2, 1))).reshape(MODULUS, -1)
     logarithmic = tangent @ (np.sqrt(-np.log(w))[:, None] * rotated).reshape(MODULUS, -1)
@@ -466,7 +493,7 @@ def _continue_mixed_branch(x, a):
     """Mixed-branch point at ``a`` by :func:`_newton` from ``x``: (x, g(a), converged), g = M - V at x."""
     objective = _SpanObjective(ResidueFamily.from_a(a))
     x, f, converged = _newton(objective, x)
-    return x, f - objective.vertex_value, converged
+    return x, f - objective.vertex_value[0], converged
 
 
 def maximize_pair_eof(config: OptimizationConfig | None = None) -> ScanResult:

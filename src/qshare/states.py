@@ -156,9 +156,9 @@ class ResidueFamily:
         return basis.T @ basis / MODULUS
 
     def span_state(self, coeffs) -> np.ndarray:
-        """Unit-norm pair state sum_j c_j |pair_j> for coefficients on the span."""
+        """Unit-norm pair state sum_j c_j |pair_j> for coefficients on the span, or one per row of a (R, 7) stack."""
         coeffs = np.asarray(coeffs)
-        if coeffs.shape != (MODULUS,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != MODULUS:
             raise ValueError(f"need {MODULUS} span coefficients, got shape {coeffs.shape}")
         return check_pure_state(coeffs, (MODULUS,), name="span coefficient vector")[0] @ self.pair_basis()
 

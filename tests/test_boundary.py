@@ -20,7 +20,7 @@ from qshare.linalg import (
     swap_operator,
 )
 from qshare.measures import werner_concurrence, werner_eof, werner_fit
-from qshare.optimize import OptimizationConfig, min_span_entanglement, span_entanglement
+from qshare.optimize import OptimizationConfig, min_span_entanglement, min_span_entanglements, span_entanglement
 from qshare.states import ResidueFamily, quadratic_residues, singlet_pair_reduced, singlet_state, w_state
 
 FOUR_QUBITS = (2, 2, 2, 2)
@@ -51,6 +51,7 @@ INTEGER_ENTRY_POINTS = {
 WEIGHT_ENTRY_POINTS = {
     "ResidueFamily": lambda v: ResidueFamily.from_a(v).pair_basis(),
     "min_span_entanglement": lambda v: min_span_entanglement(v, OptimizationConfig(restarts=3)).restart_values,
+    "min_span_entanglements": lambda v: min_span_entanglements([(v, OptimizationConfig(restarts=3))])[0].restart_values,
     "span_entanglement": lambda v: span_entanglement(np.eye(7)[0], v),
 }
 

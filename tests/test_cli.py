@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import qshare
-from qshare.checks import CheckResult, family_checks, measure_checks, run_all_checks, singlet_cross_check
+from qshare.checks import (
+    CheckResult, _random_state, family_checks, measure_checks, run_all_checks, singlet_cross_check,
+)
 from qshare.cli import CSV_HEADER, build_parser, main
-from qshare.optimize import OptimizationConfig, _continue_mixed_branch
+from qshare.optimize import OptimizationConfig, RandomStream, _continue_mixed_branch
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
 
 # Fast-but-meaningful CLI settings for tests; the acceptance module runs the
@@ -461,6 +463,21 @@ def test_table_robust_across_seeds(capsys):
     for r0, r1 in zip(rows0, rows1):
         assert r0["e_bound"] == pytest.approx(r1["e_bound"], abs=5e-4)
         assert r0["ratio"] == pytest.approx(r1["ratio"], abs=5e-4)
+
+
+@pytest.mark.parametrize("dim", [4, 7, 28])
+def test_stacked_check_draws_equal_single_draws(dim):
+    # A stack of k states takes the stream's next normals as k single draws
+    # would, and each row is normalized as np.linalg.norm normalizes it alone.
+    stacked, single = RandomStream(11), RandomStream(11)
+    states = _random_state(stacked, dim, 50)
+    assert states.shape == (50, dim)
+    for row in states:
+        z = single.standard_normal(dim) + 1j * single.standard_normal(dim)
+        assert row.tobytes() == (z / np.linalg.norm(z)).tobytes()
+    assert _random_state(stacked, dim).tobytes() == _random_state(single, dim, 1)[0].tobytes()
+    # The Werner loop's uniforms, drawn as one array.
+    assert stacked.uniform(0.0, 1.0, size=100).tolist() == [single.uniform(0.0, 1.0) for _ in range(100)]
 
 
 def test_verify_passes_on_fresh_build(capsys):

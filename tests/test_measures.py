@@ -203,6 +203,27 @@ class TestQubitEof:
             rho = np.outer(psi, psi.conj())
             assert qubit_eof(rho) == pytest.approx(pure_entanglement(psi, (2, 2), (0,)), abs=1e-8)
 
+    def test_stack_matches_loop_to_the_bit(self):
+        # Projectors and two-qubit Werner states, stacked (2, 50, 4, 4): one
+        # eigh and one SVD call serve the stack, each matrix as it would alone.
+        rng = np.random.default_rng(5)
+        psi = np.array([random_state(rng, 4) for _ in range(50)])
+        c = rng.uniform(0.0, 1.0, size=50)[:, None, None]
+        werner = (2.0 + c) / 6.0 * np.identity(4) - (1.0 + 2.0 * c) / 6.0 * swap_operator(2)
+        stack = np.stack([psi[:, :, None] * psi[:, None, :].conj(), werner])
+        for measure in (qubit_concurrence, qubit_eof):
+            stacked = measure(stack)
+            assert stacked.shape == (2, 50)
+            assert np.array_equal(stacked, [[measure(rho) for rho in row] for row in stack])
+        assert type(qubit_eof(stack[0, 0])) is float and type(qubit_concurrence(stack[1, 0])) is float
+
+    def test_stack_validates_every_matrix(self):
+        stack = np.stack([np.eye(4) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 2.0])
+        with pytest.raises(ValueError, match="unit trace"):
+            qubit_eof(stack)
+        with pytest.raises(ValueError, match=r"rho must be 4 x 4, got shape \(9, 9\)"):
+            qubit_eof(np.stack([np.eye(9) / 9.0] * 2))
+
 
 class TestWernerQuantities:
     def test_antisymmetric_marginal_has_unit_concurrence(self):

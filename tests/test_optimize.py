@@ -32,6 +32,7 @@ from qshare.optimize import (
     average_entanglement,
     maximize_pair_eof,
     min_span_entanglement,
+    min_span_entanglements,
     pair_eof,
     span_entanglement,
 )
@@ -114,7 +115,7 @@ class ComplexSpanObjective:
         m = np.einsum("rj,jab->rab", coeffs, self.basis_mats)
         return shannon_entropy(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)))
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, rows=None):
         """Values (R,) and gradients (R, 14) at the rows of ``x`` (R, 14).
 
         Every row is computed by the same operations whatever the other rows
@@ -191,6 +192,20 @@ class TestSpanEntanglement:
             span_entanglement(coeffs, 0.5), abs=1e-12
         )
 
+
+    def test_stack_matches_loop_to_the_bit(self):
+        rng = np.random.default_rng(1)
+        coeffs = np.array([random_coeffs(rng) for _ in range(20)])
+        for a in (0.0, 0.461, 1.0):
+            stacked = span_entanglement(coeffs, a)
+            assert stacked.shape == (20,)
+            assert np.array_equal(stacked, [span_entanglement(c, a) for c in coeffs])
+        assert type(span_entanglement(coeffs[0], 0.5)) is float
+
+    @pytest.mark.parametrize("shape", [(7, 7, 7), (20, 6)])
+    def test_stack_of_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"^need 7 span coefficients, got shape \({shape[0]}, {shape[1]}"):
+            span_entanglement(np.ones(shape) / np.sqrt(shape[-1]), 0.5)
 
 class TestObjectiveGradient:
     def test_matches_central_differences(self):
@@ -367,7 +382,7 @@ class _Quadratic:
     def __init__(self, centre):
         self.centre = centre
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, rows=None):
         diff = x - self.centre
         return np.einsum("ri,ri->r", diff, diff), 2.0 * diff
 
@@ -377,7 +392,7 @@ class _Quadratic:
 class _Plateau:
     """A constant value with a nonzero gradient: no step lowers the value."""
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, rows=None):
         return np.ones(len(x)), np.ones_like(x)
 
     at_vertex = never_at_vertex
@@ -585,13 +600,13 @@ def copysign_gauge(coeffs):
 class _Unsnapped:
     """A constant objective with no vertex, NaN at a non-finite point: a solve then only normalizes and gauges."""
 
-    vertex_value = np.inf
+    vertex_value = np.array([np.inf])
     at_vertex = never_at_vertex
 
-    def __init__(self, family):
+    def __init__(self, *families, starts=()):
         pass
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, rows=None):
         return np.where(np.isfinite(x).all(axis=1), 0.0, np.nan), np.zeros_like(x)
 
 
@@ -716,8 +731,8 @@ class TestMinSpanEntanglement:
         config = OptimizationConfig(restarts=200, seed=seed)
 
         def solve(layout):
-            def patched(self, family):
-                init(self, family)
+            def patched(self, *families, starts=()):
+                init(self, *families, starts=starts)
                 self.basis_mats = layout(self.basis_mats)
 
             monkeypatch.setattr(_SpanObjective, "__init__", patched)
@@ -783,6 +798,75 @@ class TestMinSpanEntanglement:
         values = [pure_entanglement(s, PAIR_DIMS, PAIR_CUT) for s in dec.states]
         assert max(abs(v - result.value) for v in values) < 1e-10
 
+
+
+def verify_pairs(config):
+    """The (a, config) pairs of ``verify``'s optimizer checks, in its order: three weights, the two ends, then a
+    repeat and a half-size prefix at a = 1/2."""
+    ends, half = dataclasses.replace(config, restarts=min(config.restarts, 20)), max(1, config.restarts // 2)
+    pairs = [(0.3, config), (0.5, config), (0.75, config), (0.0, ends), (1.0, ends)]
+    return pairs + [(0.5, config), (0.5, dataclasses.replace(config, restarts=half))]
+
+
+def assert_same_result(batched, alone):
+    assert batched.restart_values.tobytes() == alone.restart_values.tobytes()
+    assert batched.restart_index == alone.restart_index
+    assert batched.iterations_used == alone.iterations_used
+    assert batched.argmin.tobytes() == alone.argmin.tobytes()
+    assert batched.value == alone.value
+    assert batched.failed_restarts == alone.failed_restarts
+    assert batched.nontrivial_minimizer is alone.nontrivial_minimizer
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_equals_one_at_a_time(self, seed):
+        # verify's seven solves in one batch, and in its two batches, each
+        # equal the solve run alone, to the bit.
+        pairs = verify_pairs(OptimizationConfig(restarts=40, seed=seed))
+        alone = [min_span_entanglement(a, config) for a, config in pairs]
+        two_batches = min_span_entanglements(pairs[:5]) + min_span_entanglements(pairs[5:])
+        for batched in (min_span_entanglements(pairs), two_batches):
+            assert len(batched) == len(pairs)
+            for result, reference in zip(batched, alone):
+                assert_same_result(result, reference)
+
+    def test_pair_given_twice_gives_equal_results(self):
+        config = OptimizationConfig(restarts=30, seed=4)
+        first, second = min_span_entanglements([(0.461, config), (0.461, config)])
+        assert_same_result(first, second)
+        assert first.restart_values is not second.restart_values
+
+    def test_objective_rows_take_their_own_weight(self):
+        # Rows 0-2 at a = 0.3, 3-7 at 0.5 and 8-9 at 1: any ascending subset
+        # of the batch rows evaluates as the one-weight objectives do.
+        families = [ResidueFamily.from_a(a) for a in (0.3, 0.5, 1.0)]
+        batch = _SpanObjective(*families, starts=[3, 8])
+        x = _starts(OptimizationConfig(restarts=10, seed=2))
+        weight = np.repeat([0, 1, 2], [3, 5, 2])
+        for rows in (np.arange(10), np.array([1, 2, 5, 9]), np.array([4, 6]), np.array([0, 8])):
+            values, grads = batch.value_and_grad(x[rows], rows)
+            for row, value, grad in zip(rows, values, grads):
+                alone = _SpanObjective(families[weight[row]]).value_and_grad(x[row, None])
+                assert value == alone[0][0] and np.array_equal(grad, alone[1][0])
+        assert np.array_equal(batch.vertex_value, [vertex_value(a) for a in (0.3, 0.5, 1.0)])
+
+    @pytest.mark.parametrize(
+        ("problems", "message"),
+        [
+            ([], "need one or more"),
+            ([(0.5, FAST), (1.5, FAST)], r"a must be a real number in \[0, 1\], got 1.5"),
+            ([(0.5, FAST), (-0.1, FAST)], r"a must be a real number in \[0, 1\], got -0.1"),
+            ([(0.5, FAST), (0.5, None)], "need one or more"),
+            ([(0.5, 20)], "need one or more"),
+            ([(0.5, {"restarts": 20, "seed": 0})], "need one or more"),
+        ],
+        ids=["empty", "above-1", "below-0", "none-config", "int-config", "dict-config"],
+    )
+    def test_bad_problems_are_refused_before_any_solve(self, monkeypatch, problems, message):
+        monkeypatch.setattr("qshare.optimize._lbfgs", lambda objective, x0: pytest.fail("a solve ran"))
+        with pytest.raises(ValueError, match=message):
+            min_span_entanglements(problems)
 
 class TestNontrivialMinimizer:
     @pytest.mark.parametrize("restarts", (5, 40))
@@ -900,9 +984,9 @@ class TestVertexRetirement:
         evaluate = _SpanObjective.value_and_grad
         rounds = []
 
-        def counted(self, x):
+        def counted(self, x, rows=None):
             rounds[-1] += 1
-            return evaluate(self, x)
+            return evaluate(self, x, rows)
 
         monkeypatch.setattr(_SpanObjective, "value_and_grad", counted)
         for at_vertex in (_SpanObjective.at_vertex, never_at_vertex):

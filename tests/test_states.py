@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ class TestSpanState:
             family.span_state(np.ones(7))
         with pytest.raises(ValueError, match="need 7 span coefficients"):
             family.span_state(np.ones(6) / np.sqrt(6.0))
+
+    def test_stack_gives_one_state_per_row(self):
+        family = ResidueFamily.from_a(0.461)
+        rng = np.random.default_rng(6)
+        coeffs = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        for stack in (coeffs, coeffs.real / np.linalg.norm(coeffs.real, axis=1, keepdims=True)):
+            assert np.array_equal(family.span_state(stack), [family.span_state(c) for c in stack])
+
+    @pytest.mark.parametrize("shape", [(7, 7, 7), (3, 6), (6,), (), (2, 7, 1)])
+    def test_rejects_wrong_shapes(self, shape):
+        with pytest.raises(ValueError, match=rf"^need 7 span coefficients, got shape {re.escape(str(shape))}$"):
+            ResidueFamily.from_a(0.5).span_state(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
