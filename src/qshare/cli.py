@@ -12,21 +12,36 @@ reader that closes stdout before the report is written is not an error.
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS sizes its thread pool once, from these variables, when numpy loads it.  No command
+# has a product large enough for helper threads, which would only start and spin: unless the
+# user set one, numpy is loaded with one BLAS thread, and the variables added for that are then
+# removed, so the environment is left as it was found.  numpy loads before the standard library
+# modules below, which keeps the process's resident memory as it was.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_ADDED_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if any(name in os.environ for name in _BLAS_THREAD_VARS):
+    _ADDED_VARS = ()
+os.environ.update(dict.fromkeys(_ADDED_VARS, "1"))
+try:
+    from .checks import run_all_checks, singlet_cross_check
+    from .linalg import reduced_density_matrix
+    from .measures import qubit_eof, werner_concurrence, werner_eof, werner_fit
+    from .optimize import OptimizationConfig, maximize_pair_eof, min_span_entanglement, orbit_certificate
+    from .states import ResidueFamily, singlet_pair_reduced, w_state
+finally:
+    for _name in _ADDED_VARS:
+        del os.environ[_name]
+
 import argparse
 import csv
 import functools
 import io
 import json
 import math
-import os
 import re
 import sys
-
-from .checks import run_all_checks, singlet_cross_check
-from .linalg import reduced_density_matrix
-from .measures import qubit_eof, werner_concurrence, werner_eof, werner_fit
-from .optimize import OptimizationConfig, maximize_pair_eof, min_span_entanglement, orbit_certificate
-from .states import ResidueFamily, singlet_pair_reduced, w_state
 
 __all__ = ["main", "run_table", "run_singlet", "run_family", "run_verify"]
 

@@ -167,14 +167,18 @@ class _SpanObjective:
         # Each weight's rows lo:hi of x, as ``rows`` ascend (bisect: a first searchsorted maps 68 KB of numpy code).
         edges = [0, *(bisect.bisect_left(range(len(x)) if rows is None else rows, s) for s in self.starts), len(x)]
         groups = [(basis, slice(lo, hi)) for basis, lo, hi in zip(self.basis_mats, edges, edges[1:])]
-        m = np.concatenate([np.einsum("rj,jab->rab", x[group], basis) for basis, group in groups])
+        m = np.empty((len(x), MODULUS, MODULUS))
+        for basis, group in groups:
+            np.einsum("rj,jab->rab", x[group], basis, out=m[group])
         w, p = np.linalg.eigh((m @ m.transpose(0, 2, 1)) / n2[:, None, None])
         w = np.clip(w, 0.0, None)
         # The value and dE = -Tr(log2(rho) drho) share one clipped log, 0 log 0 := 0.
         log_w = np.log2(np.where(w > SPECTRUM_CLIP, w, 1.0))
         f = -np.sum(w * log_w, axis=-1) + 0.0  # + 0.0 turns -0.0 into 0.0
         lm = (p * log_w[:, None, :]) @ p.transpose(0, 2, 1) @ m
-        g = np.concatenate([np.einsum("jab,rab->rj", basis, lm[group]) for basis, group in groups])
+        g = np.empty_like(x)
+        for basis, group in groups:
+            np.einsum("jab,rab->rj", basis, lm[group], out=g[group])
         grad = -(2.0 / n2[:, None]) * (g + f[:, None] * x)
         f[zero] = 3.0
         f[~finite] = np.nan

@@ -82,7 +82,10 @@ def singlet_pair_reduced(d):
     d = check_integer(d, "d", 2)
     rho, rows, scale = swap_operator(d), np.arange(d * d), d * (d - 1)
     rho[rows, (rows % d) * d + rows // d] = -1.0 / scale
-    rho.flat[:: d * d + 1] += 1.0 / scale
+    # The diagonal is assigned, not added to: += reads each diagonal-only page before writing it, two faults.
+    diagonal = np.full(d * d, 1.0 / scale)
+    diagonal[:: d + 1] = 0.0  # |ii><ii|, where F's one cancels I's
+    rho.flat[:: d * d + 1] = diagonal
     return rho
 
 

@@ -317,6 +317,66 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def unthreaded_env(**settings):
+    """``source_env()`` with no BLAS thread variable set but ``settings``."""
+    env = {name: value for name, value in source_env().items() if name not in BLAS_THREAD_VARS}
+    return dict(env, **settings)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    code = "import sys, qshare; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_names_resolve_on_first_use():
+    modules = {"linalg": qshare.linalg, "measures": qshare.measures, "optimize": qshare.optimize, "states": qshare.states}
+    assert len(qshare.__all__) == 43 and set(modules) <= set(qshare.__all__)
+    star = {}
+    exec("from qshare import *", star)
+    assert sorted(name for name in star if not name.startswith("_")) == sorted(qshare.__all__)
+    for name in qshare.__all__:
+        value = getattr(qshare, name)
+        assert star[name] is value, name
+        assert value is modules.get(name) or any(vars(module).get(name) is value for module in modules.values()), name
+    assert set(qshare.__all__) <= set(dir(qshare))
+    with pytest.raises(AttributeError, match="has no attribute 'checks_passed'"):
+        qshare.checks_passed
+
+
+def test_cli_import_leaves_the_environment_unchanged():
+    code = "import os; before = dict(os.environ); import qshare.cli; print(dict(os.environ) == before)"
+    for env in (unthreaded_env(), unthreaded_env(OMP_NUM_THREADS="2")):
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True", env
+
+
+def blas_threads_after_cli_import(**settings):
+    """Threads of a fresh interpreter after ``import qshare.cli``, under ``settings``, read from /proc/self/task."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted in Linux's /proc/self/task")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no helper thread on one CPU")
+    if "openblas" not in numpy_blas_name().lower():
+        pytest.skip("numpy is not built against OpenBLAS")
+    code = "import os, qshare.cli; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", code], env=unthreaded_env(**settings), capture_output=True, text=True,
+                         check=True)
+    return int(out.stdout)
+
+
+def test_cli_import_starts_no_blas_helper_thread():
+    # With no thread variable set, OpenBLAS would start one thread per CPU.
+    assert blas_threads_after_cli_import() == 1
+
+
+def test_cli_import_honours_a_users_blas_thread_setting():
+    assert blas_threads_after_cli_import(OMP_NUM_THREADS="2") == 2
+
+
 def test_solves_leave_numpy_random_unloaded():
     # The restarts and the checks' inputs come from qshare's own generator; loading
     # numpy.random and drawing from it would cost a process 12-13 ms and 6.6 MB.

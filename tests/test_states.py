@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestSingletPairReduced:
         for d in range(2, 31):
             dense = (np.subtract(0.0, swap_operator(d)) + np.identity(d * d)) / (d * (d - 1))
             assert np.array_equal(singlet_pair_reduced(d).view(np.uint64), dense.view(np.uint64))
+
+    def test_faults_each_resident_page_once(self):
+        # The d = 30 marginal's nonzeros lie on 1,278 pages of its map.  Adding to the
+        # diagonal instead of assigning it read each diagonal-only page first: 1,684 faults.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("minor page faults are counted as on Linux")
+        import resource
+
+        singlet_pair_reduced(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        singlet_pair_reduced(30)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 1_400
 
     def test_rejects_one_level(self):
         with pytest.raises(ValueError, match=r"d must be an integer >= 2, got 1"):
