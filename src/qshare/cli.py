@@ -27,7 +27,7 @@ os.environ.update(dict.fromkeys(_ADDED_VARS, "1"))
 try:
     from .checks import run_all_checks, singlet_cross_check
     from .linalg import reduced_density_matrix
-    from .measures import qubit_eof, werner_concurrence, werner_eof, werner_fit
+    from .measures import qubit_eof, werner_fit, werner_values
     from .optimize import OptimizationConfig, maximize_pair_eof, min_span_entanglement, orbit_certificate
     from .states import ResidueFamily, singlet_pair_reduced, w_state
 finally:
@@ -95,8 +95,8 @@ def run_table(args) -> dict:
     e2 = qubit_eof(pair)
 
     rho3 = singlet_pair_reduced(3)
-    e3 = werner_eof(rho3, 3)  # raises unless rho3 is Werner, so the fit below succeeds
     fit3 = werner_fit(rho3, 3)
+    e3 = werner_values(fit3, rho3)[1]  # raises unless rho3 is Werner
 
     scan = maximize_pair_eof(config)
     warnings = []
@@ -116,9 +116,9 @@ def run_singlet(args) -> dict:
     """Werner fit, concurrence and E_f of the closed-form pair marginal."""
     d = _parse_integer(args.d, "d")
     rho = singlet_pair_reduced(d)
-    e_f = werner_eof(rho, d)  # raises unless rho is Werner, so the fit below succeeds
-    fit = werner_fit(rho, d)
-    results = {"d": d, "c": werner_concurrence(rho, d), "a_w": fit.a_w, "b_w": fit.b_w, "e_f": e_f}
+    fit = werner_fit(rho, d)  # the one validation of rho
+    c, e_f = werner_values(fit, rho)  # raises unless rho is Werner
+    results = {"d": d, "c": c, "a_w": fit.a_w, "b_w": fit.b_w, "e_f": e_f}
     residuals = {"werner_fit": fit.residual}
     if d <= 5:
         residuals["full_state_cross_check"] = singlet_cross_check(d, rho)

@@ -166,9 +166,9 @@ def check_density_matrix(rho, dim=None):
 def swap_operator(d):
     """Pair-exchange operator F = sum_ij |ij><ji| on two d-level systems.
 
-    F is real symmetric, F @ F = I, and trace(F) = d.  Its own anonymous memory map goes back
-    to the system with F, not to the heap.  Only the pages holding one of its d^2 ones are
-    written, so only they are resident; the others read as the system's shared zero page.
+    F is real symmetric, F @ F = I, and trace(F) = d.  Its own anonymous memory map goes back to the system with F.
+    Only the pages holding one of its d^2 ones are written and resident; the rest read as the shared zero page.
+    In qshare only ``singlet_pair_reduced`` maps F: ``werner_fit`` reads F's ones by index and maps nothing.
     """
     d = check_integer(d, "d", 1)
     try:

@@ -75,9 +75,9 @@ def singlet_state(d):
 def singlet_pair_reduced(d):
     """Closed-form pair marginal of the antisymmetric state: (I - F) / (d(d-1)).
 
-    Valid for any d >= 2 without building the full collective state.  Only F's ones and the
-    diagonal are written into F's map, so only their pages are resident; every entry, zeros'
-    signs included, is the one (0 - F + I) / (d(d-1)) gives.
+    Valid for any d >= 2 without building the full collective state.  Only F's ones and the diagonal are written
+    into F's map, so only their pages are resident; every entry, zeros' signs included, is the one (0 - F + I) /
+    (d(d-1)) gives.  Its F is the only one a ``singlet`` maps, and ``werner_fit`` validates the result once.
     """
     d = check_integer(d, "d", 2)
     rho, rows, scale = swap_operator(d), np.arange(d * d), d * (d - 1)

@@ -12,7 +12,9 @@ import qshare
 from qshare.checks import (
     CheckResult, _random_state, family_checks, measure_checks, run_all_checks, singlet_cross_check,
 )
+from qshare import linalg
 from qshare.cli import CSV_HEADER, build_parser, main
+from qshare.linalg import swap_operator
 from qshare.optimize import OptimizationConfig, RandomStream, _continue_mixed_branch
 from qshare.states import ResidueFamily, orbit_decomposition, singlet_pair_reduced
 
@@ -555,16 +557,56 @@ def test_verify_text_prints_pass_lines(capsys):
 
 
 def test_werner_fit_failure_exits_2(capsys, monkeypatch):
-    # A closed-form marginal that fails its Werner fit is an error: werner_eof
-    # raises before the report is built.
-    monkeypatch.setattr("qshare.measures.werner_fit", lambda rho, d: None)
+    # A closed-form marginal that fails its Werner fit is an error, raised before
+    # the report is built.  The commands call the fit bound in cli and werner_eof
+    # the one in measures: both are replaced, whichever a command reaches.
+    for binding in ("qshare.cli.werner_fit", "qshare.measures.werner_fit"):
+        monkeypatch.setattr(binding, lambda rho, d: None)
     monkeypatch.setattr("qshare.cli.maximize_pair_eof", refuse_to_solve)
     for argv in (["singlet", "--d", "6"], ["table", *TABLE_ARGS]):
         code = main([*argv, "--format", "json"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: state is not of the form a*I + b*F")
+
+
+def non_real_singlet_marginal(d, eps=0.4e-10):
+    # i eps on every off-diagonal entry that F picks out keeps rho Hermitian to
+    # 2 eps, its trace at 1 and its Werner fit within tolerance, but adds
+    # i eps d(d - 1) to Tr(rho F).
+    rho = singlet_pair_reduced(d).astype(complex)
+    rho[swap_operator(d) - np.eye(d * d) > 0.0] += 1j * eps
+    return rho
+
+
+def test_singlet_refuses_a_non_real_swap_trace(capsys, monkeypatch):
+    monkeypatch.setattr("qshare.cli.singlet_pair_reduced", non_real_singlet_marginal)
+    code = main(["singlet", "--d", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: Tr(rho F) has a non-real part -2.400e-10\n"
+
+
+@pytest.mark.parametrize("d", ["3", "30"])
+def test_singlet_validates_its_marginal_once(capsys, monkeypatch, d):
+    # Every qshare.* binding of the two names is wrapped, as perfbench/spans.py
+    # wraps them: the marginal is checked once, and F is mapped once, to build it.
+    calls = {}
+    for name in ("check_density_matrix", "swap_operator"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("qshare.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["singlet", "--d", d, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["e_f"] == pytest.approx(1.0, abs=1e-12)
+    assert calls == {"check_density_matrix": 1, "swap_operator": 1}
 
 
 def test_allocation_failure_exits_2(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -304,7 +305,7 @@ class TestWernerQuantities:
             fit, complex_fit = werner_fit(rho, d), werner_fit(rho.astype(complex), d)
             assert (complex_fit.a_w, complex_fit.b_w) == pytest.approx((fit.a_w, fit.b_w), rel=1e-15, abs=0.0)
             assert complex_fit.d == d and complex_fit.residual <= 1e-17
-            # The misfit is built in the swap operator's buffer, not in rho's.
+            # The misfit is built in a copy of each row block, not in rho.
             assert np.array_equal(rho, singlet_pair_reduced(d))
 
     def test_complex_non_werner_state_is_rejected(self):
@@ -325,6 +326,28 @@ class TestWernerQuantities:
         rho[flipped] += 1j * eps
         with pytest.raises(ValueError, match=r"non-real part -2\.400e-10"):
             werner_concurrence(rho, d)
+        # The fit accepts it, so E_f reaches the same refusal after fitting.
+        assert werner_fit(rho, d) is not None
+        with pytest.raises(ValueError, match=r"non-real part -2\.400e-10"):
+            werner_eof(rho, d)
+        with pytest.raises(ValueError, match=r"non-real part -2\.400e-10"):
+            werner_eof(rho.tolist(), d)
+
+    def test_fit_maps_no_swap_operator(self):
+        # F's ones are read by index, so fitting the d = 30 marginal faults only the
+        # pages of its row-block temporaries: about 110, where mapping F took 1,725.
+        # The marginal is checked first, because the first read of each of its 305
+        # never-written pages faults too, on hosts that map the zero page per page.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("minor page faults are counted as on Linux")
+        import resource
+
+        werner_fit(singlet_pair_reduced(2), 2)
+        rho = check_density_matrix(singlet_pair_reduced(30), 900)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fit = werner_fit(rho, 30)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 300
+        assert fit is not None and fit.residual <= 1e-15
 
     def test_fit_rejects_a_perturbed_werner_state(self):
         rho = np.eye(9) / 9
