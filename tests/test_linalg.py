@@ -17,7 +17,7 @@ from qshare.linalg import (
     swap_operator,
 )
 from qshare.measures import pure_entanglement
-from qshare.states import cyclic_permute, singlet_pair_reduced
+from qshare.states import ResidueFamily, cyclic_permute, orbit_decomposition, singlet_pair_reduced
 
 SINGLET2 = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -154,6 +154,53 @@ def test_schmidt_spectrum_sums_to_one_and_matches_both_sides():
         assert abs(right.sum() - 1.0) < 1e-10
         k = min(left.size, right.size)
         assert np.max(np.abs(left[:k] - right[:k])) < 1e-10
+
+
+# The Gram route takes the smaller side; a cut side of 4 against 3 or 7 covers both orientations.
+SVD_CASES = [((2, 3), (0,)), ((3, 4), (1,)), ((4, 7), (1,)), ((4, 7), (0,)), ((7, 7), (0,)), ((2, 2, 3), (0, 2))]
+
+
+def svd_spectrum(psi, dims, cut):
+    """Squared singular values of the (cut side) x (other side) amplitudes: the SVD oracle."""
+    other = [k for k in range(len(dims)) if k not in cut]
+    m = psi.reshape(dims).transpose(list(cut) + other).reshape(math.prod(dims[k] for k in cut), -1)
+    return np.linalg.svd(m, compute_uv=False) ** 2
+
+
+@pytest.mark.parametrize("dims, cut", SVD_CASES)
+@pytest.mark.parametrize("kind", [float, complex])
+def test_schmidt_spectrum_matches_squared_singular_values(dims, cut, kind):
+    rng, side = np.random.default_rng(41), math.prod(dims[k] for k in cut)
+    for _ in range(20):
+        psi = random_state(rng, math.prod(dims))
+        psi = psi if kind is complex else psi.real / np.linalg.norm(psi.real)
+        spectrum = schmidt_spectrum(psi, dims, cut)
+        assert spectrum.dtype == np.float64 and spectrum.shape == (min(side, math.prod(dims) // side),)
+        assert np.all(np.diff(spectrum) <= 0.0)
+        assert np.max(np.abs(spectrum - svd_spectrum(psi, dims, cut))) <= 1e-14
+
+
+def test_orbit_stack_spectra_match_squared_singular_values():
+    rng = np.random.default_rng(43)
+    for a in (0.0, 0.461, 0.5, 1.0):
+        states = orbit_decomposition(random_state(rng, 7), ResidueFamily.from_a(a)).states
+        spectra = schmidt_spectrum(states, (7, 7), (0,))
+        assert spectra.shape == (49, 7)
+        oracle = np.array([svd_spectrum(psi, (7, 7), (0,)) for psi in states])
+        assert np.max(np.abs(spectra - oracle)) <= 1e-14
+
+
+def test_rank_deficient_spectra_have_exact_zeros():
+    product = np.kron(random_state(np.random.default_rng(47), 3), random_state(np.random.default_rng(53), 4))
+    for cut in ((0,), (1,)):
+        spectrum = schmidt_spectrum(product, (3, 4), cut)
+        assert abs(spectrum[0] - 1.0) <= 1e-14
+        assert np.array_equal(spectrum[1:], np.zeros(2))
+    # A pair basis state has four Schmidt coefficients, a^2 and three b^2, and three exact zeros.
+    family = ResidueFamily.from_a(0.461)
+    spectrum = schmidt_spectrum(family.pair_state(2), (7, 7), (0,))
+    assert np.max(np.abs(spectrum[:4] - np.sort([family.a**2] + 3 * [family.b**2])[::-1])) <= 1e-15
+    assert np.array_equal(spectrum[4:], np.zeros(3))
 
 
 STACK_CASES = [((7, 7), (0,)), ((2, 3, 4), (0, 2)), ((3, 5), (1,))]

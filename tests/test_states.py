@@ -292,12 +292,20 @@ class TestSpanState:
         state = family.span_state(coeffs)
         assert pure_entanglement(state, (7, 7), (0,)) == pytest.approx(1.9944, abs=5e-4)
 
-    def test_rejects_unnormalized(self):
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, 1.0 - 1e-6, 0.5j])
+    def test_rejects_unnormalized(self, scale):
         family = ResidueFamily.from_a(0.5)
         with pytest.raises(ValueError, match="not normalized"):
             family.span_state(np.ones(7))
         with pytest.raises(ValueError, match="need 7 span coefficients"):
             family.span_state(np.ones(6) / np.sqrt(6.0))
+        # orbit_decomposition validates its seed with span_state's rules, to the message.
+        coeffs = scale * random_coeffs(np.random.default_rng(9))
+        with pytest.raises(ValueError, match=r"^span coefficient vector is not normalized") as expected:
+            family.span_state(coeffs)
+        with pytest.raises(ValueError) as raised:
+            orbit_decomposition(coeffs, family)
+        assert str(raised.value) == str(expected.value)
 
     def test_stack_gives_one_state_per_row(self):
         family = ResidueFamily.from_a(0.461)
@@ -307,10 +315,12 @@ class TestSpanState:
         for stack in (coeffs, coeffs.real / np.linalg.norm(coeffs.real, axis=1, keepdims=True)):
             assert np.array_equal(family.span_state(stack), [family.span_state(c) for c in stack])
 
-    @pytest.mark.parametrize("shape", [(7, 7, 7), (3, 6), (6,), (), (2, 7, 1)])
+    @pytest.mark.parametrize("shape", [(7, 7, 7), (3, 6), (6,), (8,), (), (2, 7, 1)])
     def test_rejects_wrong_shapes(self, shape):
-        with pytest.raises(ValueError, match=rf"^need 7 span coefficients, got shape {re.escape(str(shape))}$"):
-            ResidueFamily.from_a(0.5).span_state(np.ones(shape))
+        family = ResidueFamily.from_a(0.5)
+        for build in (family.span_state, lambda coeffs: orbit_decomposition(coeffs, family)):
+            with pytest.raises(ValueError, match=rf"^need 7 span coefficients, got shape {re.escape(str(shape))}$"):
+                build(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite(self, bad):
@@ -435,6 +445,18 @@ class TestOrbitDecomposition:
                     shifted = ops.pair_shift @ shifted
                 phased = ops.pair_phase @ phased
             assert np.max(np.abs(orbit_decomposition(coeffs, family).states - np.array(expected))) < 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_roll_construction_to_the_bit(self, seed):
+        # The old build: 7 np.roll calls and a np.stack of the phased coefficients, kept here as the oracle.
+        rng = np.random.default_rng(seed)
+        levels = np.arange(7)
+        for family in [ResidueFamily.from_a(a) for a in (0.0, 0.3, 0.461, 0.5, 1.0)] + [CORRUPTED]:
+            for coeffs in (random_coeffs(rng), np.eye(7)[seed], REPORTED_COEFFS / np.linalg.norm(REPORTED_COEFFS)):
+                phased = np.asarray(coeffs, dtype=complex) * OMEGA ** (np.outer(levels, levels) % 7)
+                rolled = np.stack([np.roll(phased, p, axis=1) for p in range(7)], axis=1)
+                expected = rolled.reshape(49, 7) @ family.pair_basis()
+                assert np.array_equal(orbit_decomposition(coeffs, family).states, expected)
 
 
 class TestCyclicPermute:
