@@ -79,10 +79,10 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best local minimum found over all restarts.
 
-    ``restart_values`` are the values at the L-BFGS ends, +inf for a restart
-    that started non-finite.  None exceeds the closed-form value V(a) of a
-    basis vertex: a restart that ends above it, or whose largest squared
-    coefficient exceeds 0.99 (it has reached a vertex), reports exactly V(a).
+    ``restart_values`` are the values at the L-BFGS ends: each is finite and
+    none exceeds the closed-form value V(a) of a basis vertex, as a restart
+    that ends above it, or whose largest squared coefficient exceeds 0.99 (it
+    has reached a vertex), reports exactly V(a).
     The witness is the lowest-index restart within ``_WITNESS_TIE`` (1e-11) of
     the smallest entry: ``restart_index``, and its own ``iterations_used``,
     ``argmin`` and ``value``.  ``argmin`` is a real unit 7-vector gauged by
@@ -92,8 +92,8 @@ class OptimizationResult:
     entry of ``restart_values``.
     Restarts that did not converge are listed in ``failed_restarts`` but
     still contribute their best point.
-    ``nontrivial_minimizer`` records whether any usable restart ended away
-    from a basis vertex; such a restart ends at or below the vertex value.
+    ``nontrivial_minimizer`` records whether any restart ended away from a
+    basis vertex; such a restart ends at or below the vertex value.
     """
 
     value: float
@@ -157,13 +157,11 @@ class _SpanObjective:
     def _evaluate(self, x, rows=None):
         """Per row: the unit-trace marginal's eigenpairs (w clipped at 0, p), amplitudes m, value and gradient."""
         n2 = np.einsum("ri,ri->r", x, x)
-        # Scale-free objective; a zero row (unreachable in practice from unit
-        # starts) gets a value above every feasible one, a non-finite row NaN.
-        zero = n2 < 1e-18
-        finite = np.isfinite(n2)
-        usable = finite & ~zero
-        x = np.where(usable[:, None], x, 0.0)
-        n2 = np.where(usable, n2, 1.0)
+        # Scale-free objective.  Trial rows are not provably finite, as L-BFGS drifts off the sphere (|x|^2 0.28
+        # to 6.6e10 seen): one with |x|^2 non-finite or below 1e-18 gets gradient 0 and value NaN, which Armijo rejects.
+        ok = (n2 >= 1e-18) & (n2 < np.inf)
+        x = np.where(ok[:, None], x, 0.0)
+        n2 = np.where(ok, n2, 1.0)
         # Each weight's rows lo:hi of x, as ``rows`` ascend (bisect: a first searchsorted maps 68 KB of numpy code).
         edges = [0, *(bisect.bisect_left(range(len(x)) if rows is None else rows, s) for s in self.starts), len(x)]
         groups = [(basis, slice(lo, hi)) for basis, lo, hi in zip(self.basis_mats, edges, edges[1:])]
@@ -180,9 +178,8 @@ class _SpanObjective:
         for basis, group in groups:
             np.einsum("jab,rab->rj", basis, lm[group], out=g[group])
         grad = -(2.0 / n2[:, None]) * (g + f[:, None] * x)
-        f[zero] = 3.0
-        f[~finite] = np.nan
-        grad[~usable] = 0.0
+        f[~ok] = np.nan
+        grad[~ok] = 0.0
         return w, p, m, f, grad
 
 
@@ -224,9 +221,8 @@ def _lbfgs(objective: _SpanObjective, x0):
     than that which lowers the value.  It also converges when an accepted
     point passes ``objective.at_vertex``: a basis vertex, whose value is
     known in closed form.  It fails when it reaches ``_MAX_ITERATIONS``
-    accepted steps first.  Returns the final points, the value at each (NaN
-    for a row whose start was not finite), the accepted steps per row and
-    which rows converged.
+    accepted steps first.  Returns the final points, the value at each, the
+    accepted steps per row and which rows converged.
     """
     x = np.array(x0, dtype=float)
     count, dim = x.shape
@@ -239,7 +235,7 @@ def _lbfgs(objective: _SpanObjective, x0):
     slope = np.zeros(count)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
-    running = np.isfinite(f)
+    running = np.ones(count, dtype=bool)
 
     def stop(rows):
         converged[rows] = True
@@ -259,7 +255,7 @@ def _lbfgs(objective: _SpanObjective, x0):
         step[rows] = 1.0
         stop(rows[~(slope[rows] < 0.0)])
 
-    search(np.flatnonzero(running))
+    search(np.arange(count))
     while running.any():
         rows = np.flatnonzero(running)
         trial = x[rows] + step[rows, None] * d[rows]
@@ -384,17 +380,13 @@ def min_span_entanglements(problems) -> list[OptimizationResult]:
 
 def _best(objective, family, vertex_value, x, restart_values, iterations, converged) -> OptimizationResult:
     """One solve's result from its rows of the batch's L-BFGS ends: snapped values, witness and polished argmin."""
-    usable = np.isfinite(restart_values)
-    if not usable.any():
-        raise RuntimeError(f"all {len(x)} restarts failed at a={family.a}")
     # Every basis vertex is feasible at the closed-form vertex value, so a
     # restart that ends above it (in a worse local minimum) or on a vertex's
     # cap (in a descent into a basis state) is replaced by its nearest
     # vertex.  No solve then reports more than the vertex value: the lowest
-    # restart is off a vertex, or every usable restart ties at V(a).
-    snapped = usable & ((restart_values > vertex_value) | objective.at_vertex(x))
+    # restart is off a vertex, or every restart ties at V(a).
+    snapped = (restart_values > vertex_value) | objective.at_vertex(x)
     restart_values[snapped] = vertex_value
-    restart_values[~usable] = np.inf
     best = int(np.argmax(restart_values <= restart_values.min() + _WITNESS_TIE))
     value = float(restart_values[best])
     if snapped[best]:
@@ -411,8 +403,8 @@ def _best(objective, family, vertex_value, x, restart_values, iterations, conver
         restart_index=best,
         iterations_used=int(iterations[best]),
         restart_values=restart_values,
-        failed_restarts=tuple(int(i) for i in np.flatnonzero(~(usable & converged))),
-        nontrivial_minimizer=bool(np.any(usable & ~snapped)),
+        failed_restarts=tuple(int(i) for i in np.flatnonzero(~converged)),
+        nontrivial_minimizer=not snapped.all(),
     )
 
 
